@@ -96,6 +96,23 @@ func (g *Grid) CellFingerprint(spec CellSpec) kernel.Fingerprint {
 // per-cell budget.
 func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
 	q := g.withDefaults()
+	cell, e := cellExperiment(&q, spec, runWorkers)
+	rs, err := e.ExecuteContext(ctx)
+	if err != nil {
+		cell.Err = err
+		return cell
+	}
+	// DistanceSummary routes through the run set's embedding cache, so
+	// a future per-cell root-source pass would reuse these embeddings.
+	cell.Summary = rs.DistanceSummary(q.Kernel)
+	cell.DistinctStructures = rs.DistinctStructures()
+	return cell
+}
+
+// cellExperiment returns the result row of spec, still without a
+// measurement, and the experiment that measures it under the defaulted
+// grid q (see Grid.withDefaults).
+func cellExperiment(q *Grid, spec CellSpec, runWorkers int) (Cell, core.Experiment) {
 	cell := Cell{
 		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
 		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
@@ -107,16 +124,7 @@ func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
 	e.BaseSeed = q.BaseSeed
 	e.CaptureStacks = q.CaptureStacks
 	e.Workers = runWorkers
-	rs, err := e.ExecuteContext(ctx)
-	if err != nil {
-		cell.Err = err
-		return cell
-	}
-	// DistanceSummary routes through the run set's embedding cache, so
-	// a future per-cell root-source pass would reuse these embeddings.
-	cell.Summary = rs.DistanceSummary(q.Kernel)
-	cell.DistinctStructures = rs.DistinctStructures()
-	return cell
+	return cell, e
 }
 
 // RunCellStream is RunCell through the streaming pipeline: every run
@@ -132,17 +140,7 @@ func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
 // worker count never changes archived bytes.
 func RunCellStream(ctx context.Context, g Grid, spec CellSpec, runWorkers int, archiveDir string, codec trace.CodecOptions) Cell {
 	q := g.withDefaults()
-	cell := Cell{
-		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
-		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
-	}
-	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
-	e.Iterations = spec.Iterations
-	e.Nodes = spec.Nodes
-	e.Runs = q.Runs
-	e.BaseSeed = q.BaseSeed
-	e.CaptureStacks = q.CaptureStacks
-	e.Workers = runWorkers
+	cell, e := cellExperiment(&q, spec, runWorkers)
 	e.Codec = codec
 	dir := ""
 	if archiveDir != "" {

@@ -175,8 +175,8 @@ func (e Experiment) Execute() (*RunSet, error) {
 	return e.ExecuteContext(context.Background())
 }
 
-// executeRunHook, when non-nil, observes every run index the worker
-// pool actually starts. Tests use it to assert that a failing run
+// executeRunHook, when non-nil, observes every run index the run pool
+// actually starts. Tests use it to assert that a failing run
 // short-circuits the remaining dispatches.
 var executeRunHook func(runIndex int)
 
@@ -187,33 +187,64 @@ var executeRunHook func(runIndex int)
 // lost a member is going to be discarded, so finishing it is waste —
 // and the first recorded failure is returned.
 func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
-	pat, err := patterns.ByName(e.Pattern)
+	pat, program, err := e.program()
 	if err != nil {
 		return nil, err
 	}
-	if e.Runs < 1 {
-		return nil, fmt.Errorf("core: Runs = %d, need >= 1", e.Runs)
-	}
-	program, err := pat.Program(e.params())
-	if err != nil {
-		return nil, err
-	}
-	adapted := sim.Adapt(program)
 	meta := trace.Meta{Pattern: e.Pattern, Iterations: e.Iterations, MsgSize: e.MsgSize}
-
 	rs := &RunSet{
 		Experiment: e,
 		Traces:     make([]*trace.Trace, e.Runs),
 		Graphs:     make([]*graph.Graph, e.Runs),
 		Stats:      make([]*sim.Stats, e.Runs),
 	}
-	workers := e.Workers
+	err = forEachRun(ctx, e.Workers, e.Runs, func(ctx context.Context, i int) error {
+		tr, stats, err := sim.RunContext(ctx, e.config(i, pat), meta, program)
+		if err != nil {
+			return err
+		}
+		g, err := graph.FromTrace(tr)
+		if err != nil {
+			return err
+		}
+		rs.Traces[i], rs.Graphs[i], rs.Stats[i] = tr, g, stats
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// program resolves the experiment's pattern and builds its simulator
+// program, rejecting an empty sample.
+func (e *Experiment) program() (patterns.Pattern, sim.Program, error) {
+	pat, err := patterns.ByName(e.Pattern)
+	if err != nil {
+		return nil, nil, err
+	}
+	if e.Runs < 1 {
+		return nil, nil, fmt.Errorf("core: Runs = %d, need >= 1", e.Runs)
+	}
+	program, err := pat.Program(e.params())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pat, sim.Adapt(program), nil
+}
+
+// forEachRun runs fn for run indices [0, runs) on up to workers
+// goroutines (<= 0 means GOMAXPROCS), each under a context that the
+// first failure cancels. That failure is returned as "core: run i: …";
+// cancellation fallout from sibling runs is not a failure of its own
+// run, and recording it would mask the root cause behind "run N:
+// cancelled". If ctx itself ends, dispatch stops and the error wraps
+// ctx.Err().
+func forEachRun(ctx context.Context, workers, runs int, fn func(ctx context.Context, i int) error) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > e.Runs {
-		workers = e.Runs
-	}
+	workers = min(workers, runs)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -222,19 +253,6 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 		firstErr error
 		next     = make(chan int)
 	)
-	// fail records the first real failure and cancels the rest of the
-	// sample. Cancellation fallout from sibling runs is not a failure of
-	// this run — recording it would mask the root cause behind
-	// "run N: cancelled".
-	fail := func(i int, err error) {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return
-		}
-		errOnce.Do(func() {
-			firstErr = fmt.Errorf("core: run %d: %w", i, err)
-			cancel()
-		})
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -246,22 +264,19 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 				if executeRunHook != nil {
 					executeRunHook(i)
 				}
-				tr, stats, err := sim.RunContext(runCtx, e.config(i, pat), meta, adapted)
-				if err != nil {
-					fail(i, err)
+				err := fn(runCtx, i)
+				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					continue
 				}
-				g, err := graph.FromTrace(tr)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				rs.Traces[i], rs.Graphs[i], rs.Stats[i] = tr, g, stats
+				errOnce.Do(func() {
+					firstErr = fmt.Errorf("core: run %d: %w", i, err)
+					cancel()
+				})
 			}
 		}()
 	}
 dispatch:
-	for i := 0; i < e.Runs; i++ {
+	for i := 0; i < runs; i++ {
 		select {
 		case next <- i:
 		case <-runCtx.Done():
@@ -271,12 +286,12 @@ dispatch:
 	close(next)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: experiment cancelled: %w", err)
+		return fmt.Errorf("core: experiment cancelled: %w", err)
 	}
-	return rs, nil
+	return nil
 }
 
 // Distances returns the pairwise kernel-distance sample of the run

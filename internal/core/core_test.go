@@ -89,24 +89,35 @@ func TestExecuteErrorsPropagate(t *testing.T) {
 
 func TestExecuteShortCircuitsOnFailure(t *testing.T) {
 	// Every run of this experiment fails (the empty replay schedule
-	// panics a rank immediately). The worker pool must stop dispatching
+	// panics a rank immediately). The run pool must stop dispatching
 	// once the first failure is recorded instead of burning through the
 	// whole sample: with W workers, at most the in-flight runs plus a
-	// small dispatch margin may start, never all of them.
+	// small dispatch margin may start, never all of them. Both the
+	// materializing and the streaming path share the pool.
 	e := DefaultExperiment("message_race", 4, 100)
 	e.Runs = 64
 	e.Workers = 2
 	e.Replay = &sim.Schedule{PerRank: make([][]sim.MatchKey, 4)}
-	var started atomic.Int64
-	executeRunHook = func(int) { started.Add(1) }
-	defer func() { executeRunHook = nil }()
-	if _, err := e.Execute(); err == nil {
-		t.Fatal("failing sample returned nil error")
+	execs := map[string]func() error{
+		"materializing": func() error { _, err := e.Execute(); return err },
+		"streaming": func() error {
+			_, err := e.ExecuteStreamContext(context.Background(), nil, "")
+			return err
+		},
 	}
-	// Generous bound: workers + a couple of dispatches that may race the
-	// cancellation. Without short-circuiting this is always 64.
-	if n := started.Load(); n > 8 {
-		t.Errorf("%d of %d runs started after first failure (want early stop)", n, e.Runs)
+	for name, exec := range execs {
+		var started atomic.Int64
+		executeRunHook = func(int) { started.Add(1) }
+		err := exec()
+		executeRunHook = nil
+		if err == nil {
+			t.Fatalf("%s: failing sample returned nil error", name)
+		}
+		// Generous bound: workers + a couple of dispatches that may race
+		// the cancellation. Without short-circuiting this is always 64.
+		if n := started.Load(); n > 8 {
+			t.Errorf("%s: %d of %d runs started after first failure (want early stop)", name, n, e.Runs)
+		}
 	}
 }
 

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/kernel"
@@ -54,18 +51,10 @@ func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, a
 	if k == nil {
 		k = kernel.NewWL(2)
 	}
-	pat, err := patterns.ByName(e.Pattern)
+	pat, program, err := e.program()
 	if err != nil {
 		return nil, err
 	}
-	if e.Runs < 1 {
-		return nil, fmt.Errorf("core: Runs = %d, need >= 1", e.Runs)
-	}
-	program, err := pat.Program(e.params())
-	if err != nil {
-		return nil, err
-	}
-	adapted := sim.Adapt(program)
 
 	dir := archiveDir
 	archived := dir != ""
@@ -91,73 +80,26 @@ func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, a
 		srs.TracePaths = make([]string, e.Runs)
 	}
 
-	workers := e.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > e.Runs {
-		workers = e.Runs
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     = make(chan int)
-	)
-	fail := func(i int, err error) {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return
+	err = forEachRun(ctx, e.Workers, e.Runs, func(ctx context.Context, i int) error {
+		path := filepath.Join(dir, fmt.Sprintf("run-%d.anctr", i))
+		stats, err := e.streamRun(ctx, i, pat, program, path)
+		if err != nil {
+			return err
 		}
-		errOnce.Do(func() {
-			firstErr = fmt.Errorf("core: run %d: %w", i, err)
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if runCtx.Err() != nil {
-					continue
-				}
-				path := filepath.Join(dir, fmt.Sprintf("run-%d.anctr", i))
-				stats, err := e.streamRun(runCtx, i, pat, adapted, path)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				fv, oh, err := embedTraceFile(k, path)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				if !archived {
-					os.Remove(path)
-				} else {
-					srs.TracePaths[i] = path
-				}
-				srs.Features[i], srs.OrderHashes[i], srs.Stats[i] = fv, oh, stats
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < e.Runs; i++ {
-		select {
-		case next <- i:
-		case <-runCtx.Done():
-			break dispatch
+		fv, oh, err := embedTraceFile(k, path)
+		if err != nil {
+			return err
 		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: experiment cancelled: %w", err)
+		if !archived {
+			os.Remove(path)
+		} else {
+			srs.TracePaths[i] = path
+		}
+		srs.Features[i], srs.OrderHashes[i], srs.Stats[i] = fv, oh, stats
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return srs, nil
 }

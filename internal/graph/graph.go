@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
 
 	"github.com/anacin-go/anacinx/internal/trace"
 	"github.com/anacin-go/anacinx/internal/vtime"
@@ -67,8 +66,8 @@ type Edge struct {
 }
 
 // Graph is a directed event graph with adjacency in both directions.
-// Construct with FromTrace or Builder; a manually assembled Graph must
-// be finished with Seal before use.
+// Construct with FromTrace or FromReader; a manually assembled Graph
+// must be finished with Seal before use.
 type Graph struct {
 	Nodes []Node
 	Edges []Edge
@@ -209,93 +208,16 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// FromTrace builds the event graph of a validated trace. Nodes appear in
-// rank-major, sequence order; program edges follow each rank's stream;
-// message edges join each send to the receive that matched its message.
-//
-// Large traces are built in parallel over rank partitions (see
-// FromTraceWorkers); the result is identical to the sequential build.
-func FromTrace(tr *trace.Trace) (*Graph, error) {
-	if w := runtime.GOMAXPROCS(0); w > 1 && tr.NumEvents() >= parallelMinEvents {
-		return FromTraceWorkers(tr, w)
-	}
-	return fromTraceSeq(tr)
-}
+// FromTrace builds the event graph of a trace, validating it on the
+// way. Nodes appear in rank-major, sequence order; program edges follow
+// each rank's stream; message edges join each send to the receive that
+// matched its message.
+func FromTrace(tr *trace.Trace) (*Graph, error) { return build(tr, tr.Meta, 0) }
 
-// fromTraceSeq is the sequential reference build.
-func fromTraceSeq(tr *trace.Trace) (*Graph, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: source trace invalid: %w", err)
-	}
-	// Counting pass: exact node and edge capacities cost one cheap sweep
-	// and spare the build loops every reallocation.
-	numProg, numSends, numRecvs := 0, 0, 0
-	for _, evs := range tr.Events {
-		if len(evs) > 0 {
-			numProg += len(evs) - 1
-		}
-		for i := range evs {
-			e := &evs[i]
-			if e.MsgID == trace.NoMsg {
-				continue
-			}
-			if e.Kind.IsSend() {
-				numSends++
-			} else if e.Kind.IsReceive() {
-				numRecvs++
-			}
-		}
-	}
-	g := &Graph{
-		Meta:  tr.Meta,
-		Nodes: make([]Node, 0, tr.NumEvents()),
-		Edges: make([]Edge, 0, numProg+numRecvs),
-	}
-	sendNode := make(map[int64]NodeID, numSends)
-	for _, evs := range tr.Events {
-		for i := range evs {
-			e := &evs[i]
-			id := NodeID(len(g.Nodes))
-			g.Nodes = append(g.Nodes, Node{
-				ID:           id,
-				Rank:         e.Rank,
-				Seq:          e.Seq,
-				Kind:         e.Kind,
-				Label:        e.Label(),
-				Lamport:      e.Lamport,
-				Time:         e.Time,
-				CallstackKey: e.CallstackKey(),
-			})
-			if i > 0 {
-				g.Edges = append(g.Edges, Edge{From: id - 1, To: id, Kind: EdgeProgram})
-			}
-			if e.MsgID != trace.NoMsg && e.Kind.IsSend() {
-				sendNode[e.MsgID] = id
-			}
-		}
-	}
-	// Second pass for message edges: a receive may precede its sender in
-	// rank-major order.
-	var id NodeID
-	for _, evs := range tr.Events {
-		for i := range evs {
-			e := &evs[i]
-			if e.MsgID != trace.NoMsg && e.Kind.IsReceive() {
-				from, ok := sendNode[e.MsgID]
-				if !ok {
-					return nil, fmt.Errorf("graph: recv of msg %d has no send", e.MsgID)
-				}
-				g.Edges = append(g.Edges, Edge{From: from, To: id, Kind: EdgeMessage})
-			}
-			id++
-		}
-	}
-	g.Seal()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+// FromReader builds the event graph of a v2 binary trace through its
+// footer index, without materializing a *trace.Trace. The graph is
+// identical to FromTrace of the same trace.
+func FromReader(r *trace.Reader) (*Graph, error) { return build(r, r.Meta(), 0) }
 
 // NodesOfRank returns the node ids of one rank, in sequence order.
 func (g *Graph) NodesOfRank(rank int) []NodeID {

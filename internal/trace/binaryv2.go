@@ -32,9 +32,9 @@ import (
 // footer offset and a trailing magic. A reader seeks the trailer from
 // EOF, loads the footer, and can then decode any single rank without
 // touching the rest of the file (segments are compressed
-// independently); the counts are exactly the inputs the parallel graph
-// builder's prefix-sum layout needs, so graph construction from a v2
-// file skips the counting decode entirely.
+// independently); the counts are exactly the inputs the graph
+// builder's layout needs, so graph construction from a v2 file skips
+// the counting pass entirely.
 //
 // Layout:
 //
@@ -76,6 +76,10 @@ var binaryMagicV2 = [8]byte{'A', 'N', 'C', 'N', 'T', 'R', '0', '2'}
 // reader rejects larger claims before allocating, so corrupted length
 // fields cannot force huge allocations.
 const v2MaxPayloadBytesPerEvent = 96
+
+// v2MinEventBytes is the smallest raw payload one event can occupy: a
+// kind byte, seven one-byte varints and a one-byte stack index.
+const v2MinEventBytes = 9
 
 // v2SegmentEvents is the StreamWriter's per-rank flush threshold. It
 // bounds both the writer's buffering and a reader cursor's working set:

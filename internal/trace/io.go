@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"runtime"
 )
 
 // WriteJSON serializes the trace as indented JSON.
@@ -112,21 +113,37 @@ func (t *Trace) Hash() uint64 {
 // virtual times differ; this is the quantity record-and-replay must
 // preserve.
 func (t *Trace) OrderHash() uint64 {
+	h, _ := orderHash(t) // in-memory cursors cannot fail
+	return h
+}
+
+// orderHash folds src's communication structure: per rank, the event
+// count, then every event's kind, peer, tag and channel sequence.
+func orderHash(src Source) (uint64, error) {
 	h := fnv.New64a()
 	var buf [8]byte
 	writeInt := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
-	for _, evs := range t.Events {
-		writeInt(int64(len(evs)))
-		for i := range evs {
-			e := &evs[i]
-			writeInt(int64(e.Kind))
-			writeInt(int64(e.Peer))
-			writeInt(int64(e.Tag))
-			writeInt(int64(e.ChanSeq))
+	readAhead := runtime.GOMAXPROCS(0) > 1
+	var ev Event
+	for rank := 0; rank < src.Procs(); rank++ {
+		events, _, _, _ := src.RankCounts(rank)
+		writeInt(int64(events))
+		c := src.Cursor(rank)
+		if readAhead {
+			c.EnableReadAhead()
+		}
+		for c.Next(&ev) {
+			writeInt(int64(ev.Kind))
+			writeInt(int64(ev.Peer))
+			writeInt(int64(ev.Tag))
+			writeInt(int64(ev.ChanSeq))
+		}
+		if err := c.Err(); err != nil {
+			return 0, err
 		}
 	}
-	return h.Sum64()
+	return h.Sum64(), nil
 }

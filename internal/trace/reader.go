@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -337,6 +336,21 @@ func (r *Reader) readFooter() error {
 		if err != nil {
 			return fmt.Errorf("trace: v2 rank index: %w", err)
 		}
+		// The counts size the graph builder's allocations before any
+		// segment is decoded, so they must be consistent with each other
+		// and with the bytes present: every event takes at least
+		// v2MinEventBytes of payload, and DEFLATE expands a compressed
+		// byte at most ~1032x (1040 as in the footer bound above).
+		if sends > events || recvs > events-sends {
+			return fmt.Errorf("trace: v2 rank %d: %d sends + %d recvs exceed %d events", rank, sends, recvs, events)
+		}
+		if maxSendID < -1 {
+			return fmt.Errorf("trace: v2 rank %d: max send id %d below -1", rank, maxSendID)
+		}
+		if uint64(r.total)+events > uint64(r.footerOff-8)*1040/v2MinEventBytes {
+			return fmt.Errorf("trace: v2 rank %d: %d events exceed what the %d-byte data section can hold",
+				rank, uint64(r.total)+events, r.footerOff-8)
+		}
 		nSegs, err := d.uvarint()
 		if err != nil {
 			return fmt.Errorf("trace: v2 rank index: %w", err)
@@ -391,8 +405,8 @@ func (r *Reader) NumEvents() int { return r.total }
 
 // RankCounts returns rank's footer entry: its event count, its counts
 // of message-carrying sends and receives, and the largest MsgID among
-// its sends (-1 if none). These are exactly the inputs the parallel
-// graph layout needs.
+// its sends (-1 if none). These are exactly the inputs the graph
+// builder's layout needs.
 func (r *Reader) RankCounts(rank int) (events, sends, recvs int, maxSendID int64) {
 	ri := &r.ranks[rank]
 	return ri.events, ri.sends, ri.recvs, ri.maxSendID
@@ -706,9 +720,11 @@ type readAheadResult struct {
 }
 
 // Cursor streams one rank's events in sequence order, decoding one
-// segment of columns at a time.
+// segment of columns at a time, or, for a cursor from Trace.Cursor,
+// copying them from the in-memory stream evs (r == nil).
 type Cursor struct {
 	r      *Reader
+	evs    []Event
 	rank   int
 	segIdx int
 	pos    int
@@ -786,6 +802,14 @@ func (c *Cursor) Next(ev *Event) bool {
 	if c.err != nil {
 		return false
 	}
+	if c.r == nil {
+		if c.pos == len(c.evs) {
+			return false
+		}
+		*ev = c.evs[c.pos]
+		c.pos++
+		return true
+	}
 	for c.cur == nil || c.pos == c.cur.n {
 		if !c.nextSegment() {
 			return false
@@ -816,33 +840,7 @@ func (c *Cursor) Next(ev *Event) bool {
 
 // OrderHash streams the communication-structure hash of the trace —
 // identical to materializing it and calling Trace.OrderHash.
-func (r *Reader) OrderHash() (uint64, error) {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	readAhead := runtime.GOMAXPROCS(0) > 1
-	var ev Event
-	for rank := range r.ranks {
-		writeInt(int64(r.ranks[rank].events))
-		c := r.Cursor(rank)
-		if readAhead {
-			c.EnableReadAhead()
-		}
-		for c.Next(&ev) {
-			writeInt(int64(ev.Kind))
-			writeInt(int64(ev.Peer))
-			writeInt(int64(ev.Tag))
-			writeInt(int64(ev.ChanSeq))
-		}
-		if err := c.Err(); err != nil {
-			return 0, err
-		}
-	}
-	return h.Sum64(), nil
-}
+func (r *Reader) OrderHash() (uint64, error) { return orderHash(r) }
 
 // ToTrace materializes the full *Trace and validates it — the v2 analog
 // of ReadBinary's v1 path.

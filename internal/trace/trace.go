@@ -242,6 +242,50 @@ func NewWithCapacity(meta Meta, perRankHint int) *Trace {
 // Procs returns the number of ranks in the trace.
 func (t *Trace) Procs() int { return len(t.Events) }
 
+// Source is the per-rank view of one trace that the event-graph builder
+// and the order-hash fold read: the rank count, each rank's declared
+// counts, and a cursor over each rank's stream. *Trace and *Reader
+// implement it; a Reader's counts come from its footer, so a consumer
+// must check the stream it reads against them.
+type Source interface {
+	Procs() int
+	RankCounts(rank int) (events, sends, recvs int, maxSendID int64)
+	Cursor(rank int) *Cursor
+}
+
+// RankCounts returns rank's event count, its counts of message-carrying
+// sends and receives, and the largest MsgID among its sends (-1 if
+// none): the entry a v2 footer declares, counted in one pass.
+func (t *Trace) RankCounts(rank int) (events, sends, recvs int, maxSendID int64) {
+	evs := t.Events[rank]
+	maxSendID = -1
+	for i := range evs {
+		e := &evs[i]
+		if e.MsgID == NoMsg {
+			continue
+		}
+		if e.Kind.IsSend() {
+			sends++
+			if e.MsgID > maxSendID {
+				maxSendID = e.MsgID
+			}
+		} else if e.Kind.IsReceive() {
+			recvs++
+		}
+	}
+	return len(evs), sends, recvs, maxSendID
+}
+
+// Cursor returns a cursor over rank's events: the in-memory counterpart
+// of Reader.Cursor. Events are copied out as they are; the cursor never
+// fails except on an out-of-range rank.
+func (t *Trace) Cursor(rank int) *Cursor {
+	if rank < 0 || rank >= len(t.Events) {
+		return &Cursor{err: fmt.Errorf("trace: cursor rank %d out of range [0,%d)", rank, len(t.Events))}
+	}
+	return &Cursor{evs: t.Events[rank]}
+}
+
 // carve cuts a zero-length, hint-capacity stream from the arena,
 // refilling it with a fresh chunk when the tail runs short. The carved
 // slice's capacity is clamped to the carving, so appends past the hint
