@@ -87,51 +87,56 @@ func (r *Rank) Compute(d vtime.Duration) {
 	r.yield()
 }
 
-// yield hands control back to the scheduler and blocks until resumed.
-// Status must already be set (ready or blocked) by the caller; yield
-// normalizes running → ready.
+// yield ends the rank's current scheduling step and blocks until it is
+// resumed. Status must already be set (ready or blocked) by the caller;
+// yield normalizes running → ready.
 //
 // Fast path: when the rank is still runnable and would be the
 // scheduler's next pick anyway — its clock strictly precedes the
 // earliest in-flight arrival and every other ready rank (with the
-// scheduler's exact tie-breaks) — the goroutine handoff is skipped and
-// the rank simply keeps running. This removes two channel operations
-// from the common sequential case without changing the schedule:
-// the decision predicate is precisely the scheduler's.
+// scheduler's exact tie-breaks) — the rank simply keeps running without
+// touching the event core. The decision predicate is precisely pick's.
+//
+// Slow path: the rank runs pick itself. If pick chooses this rank again
+// it returns without a channel operation; otherwise it resumes the
+// chosen rank directly (or hands control back to Run when the run is
+// over) and parks until some goroutine resumes it.
 func (r *Rank) yield() {
 	if r.status == statusRunning && r.wouldRunNext() {
 		return
 	}
+	s := r.sim
 	if r.status == statusRunning {
-		// The scheduler is parked in its loop, so this goroutine owns the
-		// scheduler state: re-queue ourselves before handing control back.
-		r.sim.makeReady(r)
+		s.makeReady(r)
 	}
-	r.sim.yielded <- r.id
+	next := s.pick()
+	if next == r {
+		return
+	}
+	s.handoff(next)
 	<-r.resume
-	r.status = statusRunning
-	if r.sim.abortFlag {
+	if s.abortFlag {
 		panic(abortSentinel{})
 	}
 }
 
-// wouldRunNext reports whether the scheduler's next action would be to
-// resume this rank: no in-flight message arrives at or before its
-// clock (the loop delivers events when eventTime <= clock), and no
-// other ready rank precedes it under pickReady's (clock, id) order.
+// wouldRunNext reports whether pick's next action would be to resume
+// this rank: no in-flight message arrives at or before its clock (pick
+// delivers events when eventTime <= clock), and no other ready rank
+// precedes it under the ready heap's (clock, id) order.
 func (r *Rank) wouldRunNext() bool {
 	s := r.sim
-	if s.abortFlag || s.panicErr != nil || s.budgetErr != nil || s.cancelErr != nil {
+	if s.abortFlag || s.panicErr != nil || s.endErr != nil {
 		return false
 	}
 	s.steps++
 	if s.steps > s.cfg.MaxEvents {
-		s.budgetErr = errStepBudget(s.cfg.MaxEvents)
+		s.endErr = errStepBudget(s.cfg.MaxEvents)
 		return false
 	}
 	// A compute-bound rank can live on this fast path for long stretches
-	// without touching the scheduler loop, so the cancellation poll must
-	// happen here too or cancellation latency would be unbounded.
+	// without running pick, so the cancellation poll must happen here
+	// too or cancellation latency would be unbounded.
 	if s.steps&cancelCheckMask == 0 && s.cancelled() {
 		return false
 	}

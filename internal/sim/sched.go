@@ -296,7 +296,7 @@ func (c *chanTable) footprintBytes() int {
 }
 
 // readyHeap is an indexed min-heap of ready ranks ordered by
-// (clock, id) — exactly pickReady's order, but O(log P) per transition
+// (clock, id) — exactly pick's resume order, but O(log P) per transition
 // and O(1) per peek instead of an O(P) scan per scheduler step (and per
 // fast-path yield). Each Rank carries its heap index; a rank's clock
 // never changes while it sits in the heap (only the running rank
@@ -385,14 +385,19 @@ func containsRequest(reqs []*Request, req *Request) bool {
 	return false
 }
 
-// errStepBudget builds the runaway-program error (shared by the
-// scheduler loop and the fast-path yield).
+// errStepBudget builds the runaway-program error (shared by pick and
+// the fast-path yield).
 func errStepBudget(budget int) error {
 	return fmt.Errorf("sim: step budget %d exceeded (runaway program?)", budget)
 }
 
-// simulation holds all scheduler state. Exactly one goroutine — either
-// the scheduler or a single resumed rank — touches it at any moment.
+// simulation holds all scheduler state. There is no scheduler
+// goroutine: whichever goroutine holds control — the one running Run
+// before the first rank starts and after the last one hands back, or
+// the single resumed rank — runs the scheduler step (pick) itself and
+// hands control straight to the next rank. Exactly one goroutine
+// touches this state at any moment; the unbuffered resume and finished
+// channels order each handoff.
 type simulation struct {
 	cfg  Config
 	tr   *trace.Trace    // nil when events stream to sink instead
@@ -403,8 +408,8 @@ type simulation struct {
 	ranks      []*Rank
 
 	events     eventHeap
-	ready      readyHeap // statusReady ranks, min (clock, id) first
-	yielded    chan int  // rank id that just yielded control
+	ready      readyHeap     // statusReady ranks, min (clock, id) first
+	finished   chan struct{} // a rank hands control back to Run
 	netRNG     *vtime.RNG
 	msgID      int64
 	deliverSeq int64
@@ -414,31 +419,29 @@ type simulation struct {
 	steps      int
 	abortFlag  bool
 	panicErr   *PanicError
-	budgetErr  error
+	// endErr latches the first error that ends the run early: a step
+	// budget overrun, a cancellation, or a deadlock.
+	endErr error
 	// ctx cancels the run; cancellable caches whether ctx can ever be
 	// done so the hot scheduling paths skip the check entirely for
-	// background runs. cancelErr latches the first observed cancellation.
+	// background runs.
 	ctx         context.Context
 	cancellable bool
-	cancelErr   error
 }
 
-// cancelCheckMask throttles context polling: the scheduler and the
-// fast-path yield consult ctx.Err() once every cancelCheckMask+1 steps,
+// cancelCheckMask throttles context polling: pick and the fast-path
+// yield consult ctx.Err() once every cancelCheckMask+1 steps,
 // keeping the per-step cost of cancellation support to a counter test.
 const cancelCheckMask = 0x3FF
 
-// cancelled reports (and latches) whether the run's context is done.
-// Called only every cancelCheckMask+1 steps.
+// cancelled reports whether the run's context is done, latching the
+// cancellation into endErr. Called only every cancelCheckMask+1 steps.
 func (s *simulation) cancelled() bool {
-	if s.cancelErr != nil {
-		return true
-	}
 	if !s.cancellable {
 		return false
 	}
 	if err := s.ctx.Err(); err != nil {
-		s.cancelErr = fmt.Errorf("sim: run cancelled: %w", err)
+		s.endErr = fmt.Errorf("sim: run cancelled: %w", err)
 		return true
 	}
 	return false
@@ -446,12 +449,12 @@ func (s *simulation) cancelled() bool {
 
 func newSim(cfg Config, meta trace.Meta) *simulation {
 	s := &simulation{
-		cfg:     cfg,
-		sink:    cfg.Sink,
-		yielded: make(chan int),
-		netRNG:  vtime.NewRNG(cfg.Seed).Split(0xC0FFEE),
-		chans:   newChanTable(cfg.Procs),
-		ready:   make(readyHeap, 0, cfg.Procs),
+		cfg:      cfg,
+		sink:     cfg.Sink,
+		finished: make(chan struct{}),
+		netRNG:   vtime.NewRNG(cfg.Seed).Split(0xC0FFEE),
+		chans:    newChanTable(cfg.Procs),
+		ready:    make(readyHeap, 0, cfg.Procs),
 	}
 	if s.sink == nil {
 		s.tr = trace.NewWithCapacity(meta, cfg.EventsPerRankHint)
@@ -502,20 +505,23 @@ func (s *simulation) release(m *message) {
 	s.freeMsgs = append(s.freeMsgs, m)
 }
 
-// run launches the rank goroutines and drives the event loop to
-// completion.
+// run launches the rank goroutines, hands control to the first rank
+// and waits until a rank hands it back with the run over.
 func (s *simulation) run(program Program) (*trace.Trace, *Stats, error) {
 	for _, r := range s.ranks {
-		//anacin:allow goroutine the scheduler is the sanctioned owner: it starts each rank exactly once and the yield protocol keeps one goroutine runnable at a time
+		//anacin:allow goroutine the simulation is the sanctioned owner: it starts each rank exactly once and the handoff protocol keeps one goroutine runnable at a time
 		go s.rankMain(r, program)
 	}
-	err := s.loop()
+	if next := s.pick(); next != nil {
+		next.resume <- struct{}{}
+		<-s.finished
+	}
 	s.shutdown()
 	if s.panicErr != nil {
 		return nil, nil, s.panicErr
 	}
-	if err != nil {
-		return nil, nil, err
+	if s.endErr != nil {
+		return nil, nil, s.endErr
 	}
 	if s.sink != nil {
 		s.stats.Events = s.sinkEvents
@@ -535,7 +541,7 @@ func (s *simulation) rankMain(r *Rank, program Program) {
 			}
 		}
 		r.status = statusDone
-		s.yielded <- r.id
+		s.handoff(s.pick())
 	}()
 	<-r.resume
 	if s.abortFlag {
@@ -547,26 +553,28 @@ func (s *simulation) rankMain(r *Rank, program Program) {
 	program(r)
 	r.lamport++
 	r.record(trace.KindFinalize, trace.NoPeer, 0, 0, trace.NoMsg, 0, trace.Stack{})
-	// The deferred handler marks the rank done and yields.
+	// The deferred handler marks the rank done and hands control on.
 }
 
-// loop is the discrete-event core: repeatedly perform the globally
-// earliest action — deliver the earliest in-flight message or resume the
-// ready rank with the earliest local clock.
-func (s *simulation) loop() error {
+// pick is the discrete-event core: it repeatedly performs the globally
+// earliest action — delivering the earliest in-flight message — until
+// the earliest action is to resume the ready rank with the earliest
+// local clock, and returns that rank, already marked running. It
+// returns nil when the run is over: every rank done, or the run ended
+// early with the cause in panicErr or endErr. During shutdown it
+// returns nil at once, so an unwinding rank hands control back to Run.
+func (s *simulation) pick() *Rank {
 	for {
-		if s.panicErr != nil {
+		if s.abortFlag || s.panicErr != nil || s.endErr != nil {
 			return nil // surfaced by run
 		}
-		if s.budgetErr != nil {
-			return s.budgetErr
-		}
-		if s.cancelErr != nil || (s.steps&cancelCheckMask == 0 && s.cancelled()) {
-			return s.cancelErr
+		if s.steps&cancelCheckMask == 0 && s.cancelled() {
+			return nil
 		}
 		s.steps++
 		if s.steps > s.cfg.MaxEvents {
-			return errStepBudget(s.cfg.MaxEvents)
+			s.endErr = errStepBudget(s.cfg.MaxEvents)
+			return nil
 		}
 
 		next := s.ready.peek()
@@ -577,19 +585,28 @@ func (s *simulation) loop() error {
 
 		switch {
 		case next == nil && eventTime == vtime.Forever:
-			if s.allDone() {
-				return nil
+			if !s.allDone() {
+				s.endErr = s.deadlock()
 			}
-			return s.deadlock()
+			return nil
 		case next == nil || eventTime <= next.clock:
 			s.deliver(s.events.pop())
 		default:
 			s.ready.pop()
 			next.status = statusRunning
-			next.resume <- struct{}{}
-			<-s.yielded
+			return next
 		}
 	}
+}
+
+// handoff passes control to next, or back to Run when next is nil. The
+// caller must not touch scheduler state afterwards until it is resumed.
+func (s *simulation) handoff(next *Rank) {
+	if next == nil {
+		s.finished <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 func (s *simulation) allDone() bool {
@@ -784,7 +801,7 @@ func (s *simulation) shutdown() {
 		for r.status != statusDone {
 			r.status = statusRunning
 			r.resume <- struct{}{}
-			<-s.yielded
+			<-s.finished
 		}
 	}
 	// Record the true final time from rank clocks.

@@ -93,3 +93,21 @@ func TestArenaAppendAllocsWithinHint(t *testing.T) {
 		t.Errorf("appending %d events within hint = %.0f allocs, want ~chunk count", procs*hint, allocs)
 	}
 }
+
+// A stream that overflows its hint by orders of magnitude — rank 0 of a
+// 1024-rank message race records ~24.5k events against a 50-event hint —
+// grows geometrically: each full stream doubles, so the copies number
+// O(log n), not the dozens that append's ~1.25x large-slice growth costs.
+func TestArenaOverflowGrowsGeometrically(t *testing.T) {
+	const procs, hint, events = 1024, 50, 24_554
+	allocs := testing.AllocsPerRun(5, func() {
+		tr := NewWithCapacity(Meta{Procs: procs}, hint)
+		for i := 0; i < events; i++ {
+			tr.Append(Event{Rank: 0, Kind: KindSend})
+		}
+	})
+	t.Logf("%d appends to one rank: %.0f allocs", events, allocs)
+	if allocs > 11 {
+		t.Errorf("%d appends to one rank = %.0f allocs, want <= 11", events, allocs)
+	}
+}

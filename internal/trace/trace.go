@@ -226,11 +226,12 @@ func New(meta Meta) *Trace {
 // NewWithCapacity returns an empty trace whose rank streams are carved
 // with perRankHint capacity from shared arena chunks, each rank lazily
 // on its first Append. The hint is a capacity, not a limit: streams
-// still grow past it (a stream that outgrows its carving is copied out
-// of the arena by the ordinary append growth). Callers that know the
-// approximate event count per rank (the simulator, bulk converters)
-// use it to avoid the repeated append-doubling copies of a cold
-// stream; perRankHint <= 0 behaves like New.
+// still grow past it (a full stream is copied out of the arena into one
+// of twice its length, so a stream of n events is copied O(log n)
+// times). Callers that know the approximate event count per rank (the
+// simulator, bulk converters) use it to avoid the repeated
+// append-doubling copies of a cold stream; perRankHint <= 0 behaves
+// like New.
 func NewWithCapacity(meta Meta, perRankHint int) *Trace {
 	t := &Trace{Meta: meta, Events: make([][]Event, meta.Procs)}
 	if perRankHint > 0 {
@@ -314,6 +315,13 @@ func (t *Trace) Append(e Event) {
 	evs := t.Events[e.Rank]
 	if evs == nil && t.perRankHint > 0 {
 		evs = t.carve()
+	}
+	if n := len(evs); n > 0 && n == cap(evs) {
+		// Double a full stream: append's ~1.25x growth for large slices
+		// would copy a hot rank's stream dozens of times.
+		grown := make([]Event, n, 2*n)
+		copy(grown, evs)
+		evs = grown
 	}
 	e.Seq = len(evs)
 	t.Events[e.Rank] = append(evs, e)
