@@ -63,15 +63,7 @@ func cmdVerify(args []string) error {
 		}
 	}
 
-	var (
-		findings  []verify.Finding
-		summaries []verify.ConfigSummary
-	)
-	for _, pat := range pats {
-		f, s := verify.VerifyPattern(pat, opts)
-		findings = append(findings, f...)
-		summaries = append(summaries, s...)
-	}
+	findings, summaries := verify.VerifyPatterns(pats, opts)
 
 	if *verbose {
 		for _, s := range summaries {

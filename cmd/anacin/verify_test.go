@@ -80,3 +80,20 @@ func TestCmdVerifyRejectsBadSweep(t *testing.T) {
 		t.Error("non-numeric -iters accepted")
 	}
 }
+
+// TestCmdVerifyDedupesSweep checks that a repeated process or
+// iteration count is verified once: one summary row, one configuration.
+func TestCmdVerifyDedupesSweep(t *testing.T) {
+	for _, args := range [][]string{
+		{"-v", "-procs", "2,2", "-iters", "1", "message_race"},
+		{"-v", "-procs", "2", "-iters", "1,1", "message_race"},
+	} {
+		out := captureStdout(t, func() error { return cmdVerify(args) })
+		if rows := strings.Count(out, " P=2 "); rows != 1 {
+			t.Errorf("%v: %d summary rows, want 1:\n%s", args, rows, out)
+		}
+		if !strings.Contains(out, "ok: 1 pattern(s), 1 configuration(s)") {
+			t.Errorf("%v: want 1 configuration:\n%s", args, out)
+		}
+	}
+}

@@ -146,7 +146,10 @@ type eproc struct {
 	breqs     []*reqState
 	bmsg      *emsg // rendezvous send awaiting consumption
 	bround    *collRound
-	bdesc     string
+	// bop is the blocking op's index and bawait the ranks a collective
+	// still awaited at block time; captureStall formats them into the
+	// description only when the elaboration stalls.
+	bop, bawait int
 
 	// Wake payload set by the proc that unblocked this one.
 	wakeMsg *emsg
@@ -290,7 +293,7 @@ func (e *engine) captureStall() {
 	for i, p := range e.procs {
 		if p.state == stateBlocked {
 			e.stallWaits[i] = p.waitTargets()
-			e.stallDescs[i] = p.bdesc
+			e.stallDescs[i] = p.blockDesc()
 		}
 	}
 }
@@ -421,12 +424,27 @@ func (p *eproc) waitTargets() []int {
 	return nil
 }
 
+// blockDesc describes the op this blocked rank is parked in.
+func (p *eproc) blockDesc() string {
+	o := p.ops[p.bop]
+	switch p.bkind {
+	case blockReq:
+		return fmt.Sprintf("rank %d op %d: Wait(%s) in %s", p.id, o.Seq, describeReq(p.breqs[0]), o.Caller)
+	case blockAny:
+		return fmt.Sprintf("rank %d: Waitany over %d requests", p.id, len(p.breqs))
+	case blockColl:
+		return fmt.Sprintf("rank %d: collective %s #%d awaiting %d rank(s)", p.id, o.Coll, p.collSeq-1, p.bawait)
+	}
+	return o.describe(p.id)
+}
+
 // --- the baton ---
 
-// block parks the rank until another proc (or the engine) wakes it.
-func (p *eproc) block(kind blockKind, desc string) {
+// block parks the rank, blocked in op, until another proc (or the
+// engine) wakes it.
+func (p *eproc) block(kind blockKind, op int) {
 	p.bkind = kind
-	p.bdesc = desc
+	p.bop = op
 	p.state = stateBlocked
 	p.e.yield <- struct{}{}
 	<-p.resume
@@ -550,7 +568,7 @@ func (p *eproc) Recv(src, tag int) sim.Message {
 	m := p.takeMatching(src, tag)
 	if m == nil {
 		p.bsrc, p.btg = src, tag
-		p.block(blockRecv, p.ops[seq].describe(p.id))
+		p.block(blockRecv, seq)
 		m = p.wakeMsg
 		p.wakeMsg = nil
 	}
@@ -609,7 +627,7 @@ func (p *eproc) sendCommon(dst, tag, size int, data []byte, kind OpKind, req *re
 	p.deliver(m)
 	if m.rendez && req == nil && !m.rec.Consumed {
 		p.bmsg = m
-		p.block(blockRendezvous, p.ops[seq].describe(p.id))
+		p.block(blockRendezvous, seq)
 	}
 	return seq
 }
@@ -827,9 +845,7 @@ func (p *eproc) Wait(token *sim.Request) sim.Message {
 	seq := p.op(Op{Kind: OpWait, Peer: -1, Tag: -1, Events: 1})
 	if !req.done {
 		p.breqs = []*reqState{req}
-		desc := fmt.Sprintf("rank %d op %d: Wait(%s) in %s",
-			p.id, seq, describeReq(req), p.ops[seq].Caller)
-		p.block(blockReq, desc)
+		p.block(blockReq, seq)
 		p.wakeReq = nil
 	}
 	if req.isRecv {
@@ -888,7 +904,7 @@ func (p *eproc) Waitany(tokens []*sim.Request) (int, sim.Message) {
 	if eligible == 0 {
 		panic("verify: Waitany called with every request already waited")
 	}
-	p.op(Op{Kind: OpWaitany, Peer: -1, Tag: -1, Size: completed})
+	seq := p.op(Op{Kind: OpWaitany, Peer: -1, Tag: -1, Size: completed})
 	if chosen >= 0 {
 		return chosen, p.Wait(tokens[chosen])
 	}
@@ -899,7 +915,7 @@ func (p *eproc) Waitany(tokens []*sim.Request) (int, sim.Message) {
 		}
 	}
 	p.breqs = pending
-	p.block(blockAny, fmt.Sprintf("rank %d: Waitany over %d requests", p.id, eligible))
+	p.block(blockAny, seq)
 	woken := p.wakeReq
 	p.wakeReq = nil
 	for i, req := range states {
@@ -919,7 +935,7 @@ func (p *eproc) Probe(src, tag int) (msgSrc, msgTag, size int) {
 		return m.rec.Src, m.rec.Tag, m.rec.Size
 	}
 	p.bsrc, p.btg = src, tag
-	p.block(blockProbe, p.ops[seq].describe(p.id))
+	p.block(blockProbe, seq)
 	m := p.wakeMsg
 	p.wakeMsg = nil
 	return m.rec.Src, m.rec.Tag, m.rec.Size
@@ -1000,12 +1016,12 @@ func (p *eproc) joinCollective(name string, root int, data []byte, parts [][]byt
 	if round.op == nil {
 		round.op = op
 	}
-	p.op(Op{Kind: OpCollective, Peer: root, Coll: name, Size: len(data), Events: 1})
+	opIdx := p.op(Op{Kind: OpCollective, Peer: root, Coll: name, Size: len(data), Events: 1})
 	p.e.progress++
 	if round.count < p.e.n {
 		p.bround = round
-		p.block(blockColl, fmt.Sprintf("rank %d: collective %s #%d awaiting %d rank(s)",
-			p.id, name, seq, p.e.n-round.count))
+		p.bawait = p.e.n - round.count
+		p.block(blockColl, opIdx)
 		return round
 	}
 	round.complete(p.e.n)

@@ -334,3 +334,83 @@ func TestOpBudgetStopsRunawayPrograms(t *testing.T) {
 		t.Fatalf("budget blowout produced no elaboration finding: %+v", findings)
 	}
 }
+
+// TestStallBlockDescriptions pins the exact BlockDesc text of every
+// block kind: one small stalling program each. The collective case
+// checks that a rank reports how many ranks were outstanding when it
+// blocked, not when the elaboration stalled.
+func TestStallBlockDescriptions(t *testing.T) {
+	cases := []struct {
+		name  string
+		procs int
+		rvt   int
+		prog  sim.ProcProgram
+		want  []string
+	}{
+		{"recv", 2, 0, func(r sim.Proc) {
+			if r.Rank() == 1 {
+				r.Recv(0, 5)
+			}
+		}, []string{"", "rank 1 op 0: Recv(src=0, tag=5) in runtime.goexit"}},
+		{"recv-wildcard", 2, 0, func(r sim.Proc) {
+			if r.Rank() == 0 {
+				r.Compute(1)
+				r.Recv(sim.AnySource, sim.AnyTag)
+			}
+		}, []string{"rank 0 op 1: Recv(src=ANY, tag=ANY) in runtime.goexit", ""}},
+		{"probe", 2, 0, func(r sim.Proc) {
+			if r.Rank() == 1 {
+				r.(sim.FullProc).Probe(0, sim.AnyTag)
+			}
+		}, []string{"", "rank 1 op 0: Probe(src=0, tag=ANY) in runtime.goexit"}},
+		{"wait-irecv", 2, 0, func(r sim.Proc) {
+			if r.Rank() == 1 {
+				fp := r.(sim.FullProc)
+				fp.Wait(fp.Irecv(0, 2))
+			}
+		}, []string{"", "rank 1 op 1: Wait(Irecv src=0 tag=2) in runtime.goexit"}},
+		{"wait-isend-rendezvous", 2, 1024, func(r sim.Proc) {
+			if r.Rank() == 0 {
+				fp := r.(sim.FullProc)
+				fp.Wait(fp.Isend(1, 6, make([]byte, 2048)))
+			}
+		}, []string{"rank 0 op 1: Wait(Isend dst=1 tag=6) in runtime.goexit", ""}},
+		{"waitany", 2, 0, func(r sim.Proc) {
+			if r.Rank() == 1 {
+				fp := r.(sim.FullProc)
+				fp.Waitany([]*sim.Request{fp.Irecv(0, 1), fp.Irecv(0, 2), fp.Irecv(sim.AnySource, 3)})
+			}
+		}, []string{"", "rank 1: Waitany over 3 requests"}},
+		{"rendezvous-send", 2, 1024, func(r sim.Proc) {
+			if r.Rank() == 0 {
+				r.SendSize(1, 4, 2048)
+			}
+		}, []string{"rank 0 op 0: Send(dst=1, tag=4, size=2048) in runtime.goexit", ""}},
+		{"collective-missing-rank", 3, 0, func(r sim.Proc) {
+			fp := r.(sim.FullProc)
+			fp.Barrier()
+			if r.Rank() != 2 {
+				fp.Allreduce([]byte{1}, func(a, b []byte) []byte { return a })
+			}
+		}, []string{
+			"rank 0: collective allreduce #1 awaiting 2 rank(s)",
+			"rank 1: collective allreduce #1 awaiting 1 rank(s)",
+			"",
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := Elaborate(c.prog, c.procs, PolicyLow, c.rvt, 0)
+			if !res.Stalled {
+				t.Fatalf("program did not stall")
+			}
+			got := make([]string, len(res.Ranks))
+			for i, rr := range res.Ranks {
+				got[i] = rr.BlockDesc
+			}
+			if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+				t.Fatalf("BlockDesc per rank:\n got %q\nwant %q", got, c.want)
+			}
+		})
+	}
+}

@@ -12,8 +12,11 @@ package verify
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"github.com/anacin-go/anacinx/internal/patterns"
 	"github.com/anacin-go/anacinx/internal/sim"
@@ -31,7 +34,8 @@ type Options struct {
 	// Procs overrides the swept process counts (values below the
 	// pattern's MinProcs are raised to it, then deduplicated).
 	Procs []int
-	// Iters overrides the swept iteration counts.
+	// Iters overrides the swept iteration counts (deduplicated, in
+	// first-occurrence order).
 	Iters []int
 	// RendezvousThreshold mirrors sim.NetworkParams.RendezvousThreshold:
 	// 0 means every send is eager; >0 makes sends of at least that many
@@ -64,28 +68,30 @@ func (o *Options) Sweep(minProcs int) []Config {
 	}
 	var ps []int
 	for _, p := range procs {
-		if p < minProcs {
-			p = minProcs
-		}
-		dup := false
-		for _, q := range ps {
-			if q == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			ps = append(ps, p)
-		}
+		ps = appendNew(ps, max(p, minProcs))
 	}
 	sort.Ints(ps)
+	var its []int
+	for _, it := range iters {
+		its = appendNew(its, it)
+	}
 	var out []Config
 	for _, p := range ps {
-		for _, it := range iters {
+		for _, it := range its {
 			out = append(out, Config{Procs: p, Iterations: it})
 		}
 	}
 	return out
+}
+
+// appendNew appends v to xs unless xs already holds it.
+func appendNew[T comparable](xs []T, v T) []T {
+	for _, x := range xs {
+		if x == v {
+			return xs
+		}
+	}
+	return append(xs, v)
 }
 
 func (o *Options) maxOps() int {
@@ -213,16 +219,7 @@ func VerifyPattern(pat patterns.Pattern, opts Options) ([]Finding, []ConfigSumma
 func ndCallSites(races []SlotRace) int {
 	var sites []string
 	for _, r := range races {
-		dup := false
-		for _, s := range sites {
-			if s == r.Caller {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			sites = append(sites, r.Caller)
-		}
+		sites = appendNew(sites, r.Caller)
 	}
 	return len(sites)
 }
@@ -260,17 +257,49 @@ func joinInts(xs []int) string {
 	return strings.Join(parts, ",")
 }
 
-// VerifyAll verifies every registered pattern and returns the combined
-// findings plus per-configuration summaries, in registry order.
-func VerifyAll(opts Options) ([]Finding, []ConfigSummary) {
+// VerifyPatterns verifies each pattern across the sweep and returns the
+// combined findings plus per-configuration summaries, in argument
+// order. Patterns are independent, so min(GOMAXPROCS, len(pats))
+// goroutines verify them concurrently, claiming patterns in argument
+// order from an atomic cursor; each pattern's results land at its own
+// index, so the output is the same at every core count.
+func VerifyPatterns(pats []patterns.Pattern, opts Options) ([]Finding, []ConfigSummary) {
+	type result struct {
+		findings  []Finding
+		summaries []ConfigSummary
+	}
+	results := make([]result, len(pats))
+	var (
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(pats)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(pats) {
+					return
+				}
+				results[i].findings, results[i].summaries = VerifyPattern(pats[i], opts)
+			}
+		}()
+	}
+	wg.Wait()
 	var (
 		findings  []Finding
 		summaries []ConfigSummary
 	)
-	for _, pat := range patterns.All() {
-		f, s := VerifyPattern(pat, opts)
-		findings = append(findings, f...)
-		summaries = append(summaries, s...)
+	for _, r := range results {
+		findings = append(findings, r.findings...)
+		summaries = append(summaries, r.summaries...)
 	}
 	return findings, summaries
+}
+
+// VerifyAll verifies every registered pattern and returns the combined
+// findings plus per-configuration summaries, in registry order.
+func VerifyAll(opts Options) ([]Finding, []ConfigSummary) {
+	return VerifyPatterns(patterns.All(), opts)
 }
