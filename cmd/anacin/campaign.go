@@ -65,6 +65,10 @@ flags:
 	if err != nil {
 		return err
 	}
+	codec := trace.CodecOptions{Level: *compressLevel, Workers: *codecWorkers}
+	if err := codec.Validate(); err != nil {
+		return fmt.Errorf("-compress-level: %w", err)
+	}
 	ints := func(s string) ([]int, error) {
 		var out []int
 		for _, f := range strings.Split(s, ",") {
@@ -119,7 +123,7 @@ flags:
 
 	runner := &campaign.Runner{
 		Workers: *workers, Stream: *stream, ArchiveDir: *archive,
-		Codec: trace.CodecOptions{Level: *compressLevel, Workers: *codecWorkers},
+		Codec: codec,
 	}
 	if !*quiet {
 		runner.Progress = func(p campaign.Progress) {

@@ -328,6 +328,31 @@ func TestCmdCampaignTimeout(t *testing.T) {
 	}
 }
 
+// An out-of-range -compress-level is a usage error: campaign must
+// reject it before any cell simulates, so nothing reaches the archive.
+func TestCmdCampaignRejectsCompressLevel(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "archive")
+	err := cmdCampaign([]string{"-patterns", "message_race", "-procs", "4", "-nd", "50",
+		"-runs", "2", "-archive", dir, "-compress-level", "42", "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), "-compress-level") {
+		t.Fatalf("err = %v, want a -compress-level usage error", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("archive dir exists after the level was rejected (stat: %v)", err)
+	}
+}
+
+// serve must reject the level before it listens. The port file sits
+// in a missing directory, so a server that got as far as listening
+// fails on it instead of blocking until a signal.
+func TestCmdServeRejectsCompressLevel(t *testing.T) {
+	portFile := filepath.Join(t.TempDir(), "missing", "port")
+	err := cmdServe([]string{"-addr", "127.0.0.1:0", "-portfile", portFile, "-compress-level", "42"})
+	if err == nil || !strings.Contains(err.Error(), "-compress-level") {
+		t.Fatalf("err = %v, want a -compress-level usage error", err)
+	}
+}
+
 func TestCmdFiguresUnknown(t *testing.T) {
 	if err := cmdFigures([]string{"-fig", "fig42"}); err == nil {
 		t.Error("unknown figure accepted")

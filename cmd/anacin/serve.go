@@ -62,6 +62,10 @@ flags:
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	codec := trace.CodecOptions{Level: *compressLevel, Workers: *codecWorkers}
+	if err := codec.Validate(); err != nil {
+		return fmt.Errorf("-compress-level: %w", err)
+	}
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	s := serve.New(serve.Config{
@@ -70,7 +74,7 @@ flags:
 		MaxCells:    *maxCells,
 		MaxRuns:     *maxRuns,
 		ArchiveDir:  *archive,
-		Codec:       trace.CodecOptions{Level: *compressLevel, Workers: *codecWorkers},
+		Codec:       codec,
 		Log:         logger,
 	})
 

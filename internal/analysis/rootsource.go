@@ -2,13 +2,11 @@ package analysis
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/anacin-go/anacinx/internal/graph"
 	"github.com/anacin-go/anacinx/internal/kernel"
+	"github.com/anacin-go/anacinx/internal/par"
 )
 
 // Root-source identification, the advanced-level analysis of the course
@@ -44,9 +42,9 @@ func NewSliceProfile(k kernel.Kernel, graphs []*graph.Graph, slices int) (*Slice
 // one run set pay for each slice embedding once.
 //
 // Slice columns are independent, so the per-slice Gram builds fan out
-// across the machine's cores with the same work-stealing cursor shape
-// as the parallel matrix build; each value lands at a fixed slice
-// index, so the profile is identical to the sequential result.
+// across the machine's cores (par.ForEach); each value lands at a
+// fixed slice index, so the profile is identical to the sequential
+// result.
 func NewSliceProfileCached(k kernel.Kernel, graphs []*graph.Graph, slices int, cache *kernel.Cache) (*SliceProfile, error) {
 	if len(graphs) < 2 {
 		return nil, fmt.Errorf("analysis: slice profile needs >= 2 runs, got %d", len(graphs))
@@ -69,7 +67,7 @@ func NewSliceProfileCached(k kernel.Kernel, graphs []*graph.Graph, slices int, c
 		MeanDistance: make([]float64, slices),
 		MaxDistance:  make([]float64, slices),
 	}
-	profileSlice := func(s int) {
+	par.ForEach(0, slices, func(s int) {
 		col := make([]*graph.Graph, len(graphs))
 		for i := range graphs {
 			col[i] = sliced[i][s]
@@ -87,33 +85,7 @@ func NewSliceProfileCached(k kernel.Kernel, graphs []*graph.Graph, slices int, c
 		}
 		p.MeanDistance[s] = sum / float64(len(dists))
 		p.MaxDistance[s] = max
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > slices {
-		workers = slices
-	}
-	if workers < 2 {
-		for s := 0; s < slices; s++ {
-			profileSlice(s)
-		}
-		return p, nil
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= slices {
-					return
-				}
-				profileSlice(s)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return p, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/anacin-go/anacinx/internal/par"
 	"github.com/anacin-go/anacinx/internal/trace"
 )
 
@@ -48,7 +49,7 @@ type Runner struct {
 	// 0 = min(GOMAXPROCS, number of cells).
 	Workers int
 	// RunWorkers caps the per-cell run concurrency. 0 budgets the
-	// machine across cell workers: max(1, GOMAXPROCS / Workers).
+	// machine across cell workers (CoreBudget).
 	RunWorkers int
 	// Progress, when non-nil, observes every completed cell.
 	Progress func(Progress)
@@ -66,6 +67,20 @@ type Runner struct {
 	Codec trace.CodecOptions
 }
 
+// CoreBudget splits the machine between the two levels of a grid run:
+// at most cellWorkers cells in flight (<= 0 means GOMAXPROCS), capped
+// at the cell count, and max(1, GOMAXPROCS / cells in flight) runs per
+// cell, so the levels multiply out to roughly GOMAXPROCS goroutines
+// instead of cells × runs. The Runner and anacind's jobs both use it.
+func CoreBudget(cellWorkers, cells int) (cellsInFlight, runWorkers int) {
+	procs := runtime.GOMAXPROCS(0)
+	if cellWorkers < 1 {
+		cellWorkers = procs
+	}
+	cellsInFlight = max(1, min(cellWorkers, cells))
+	return cellsInFlight, max(1, procs/cellsInFlight)
+}
+
 // Run executes every cell of the grid and returns the cells sorted by
 // (pattern, procs, iterations, nodes, nd). Per-cell failures are
 // recorded in Cell.Err and do not stop the campaign; cancelling ctx
@@ -79,58 +94,30 @@ func (r *Runner) Run(ctx context.Context, g Grid) (*Result, error) {
 		return nil, err
 	}
 	cells := q.CellSpecs()
-	workers := r.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	runWorkers := r.RunWorkers
-	if runWorkers < 1 {
-		runWorkers = runtime.GOMAXPROCS(0) / workers
-		if runWorkers < 1 {
-			runWorkers = 1
-		}
+	workers, runWorkers := CoreBudget(r.Workers, len(cells))
+	if r.RunWorkers > 0 {
+		runWorkers = r.RunWorkers
 	}
 
 	res := &Result{KernelName: q.Kernel.Name(), Cells: make([]Cell, len(cells))}
 	start := time.Now()
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex // guards the progress counters and callback
 		done     int
 		doneRuns int
-		next     = make(chan int)
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				cellStart := time.Now()
-				if r.Stream || r.ArchiveDir != "" {
-					res.Cells[idx] = RunCellStream(ctx, q, cells[idx], runWorkers, r.ArchiveDir, r.Codec)
-				} else {
-					res.Cells[idx] = RunCell(ctx, q, cells[idx], runWorkers)
-				}
-				r.report(&mu, res.Cells[idx], time.Since(cellStart), start, len(cells), q.Runs, &done, &doneRuns)
-			}
-		}()
-	}
-dispatch:
-	for i := range cells {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
+	par.ForEach(workers, len(cells), func(idx int) {
+		if ctx.Err() != nil {
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
+		cellStart := time.Now()
+		if r.Stream || r.ArchiveDir != "" {
+			res.Cells[idx] = RunCellStream(ctx, q, cells[idx], runWorkers, r.ArchiveDir, r.Codec)
+		} else {
+			res.Cells[idx] = RunCell(ctx, q, cells[idx], runWorkers)
+		}
+		r.report(&mu, res.Cells[idx], time.Since(cellStart), start, len(cells), q.Runs, &done, &doneRuns)
+	})
 	if err := ctx.Err(); err != nil {
 		// Keep only the cells that actually ran (skipped dispatches leave
 		// zero-valued cells), sorted like a complete result, so the

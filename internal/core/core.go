@@ -10,12 +10,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/graph"
 	"github.com/anacin-go/anacinx/internal/kernel"
+	"github.com/anacin-go/anacinx/internal/par"
 	"github.com/anacin-go/anacinx/internal/patterns"
 	"github.com/anacin-go/anacinx/internal/sim"
 	"github.com/anacin-go/anacinx/internal/trace"
@@ -108,7 +108,6 @@ func (e *Experiment) config(i int, pat patterns.Pattern) sim.Config {
 		Replay:            e.Replay,
 		CaptureStacks:     e.CaptureStacks,
 		EventsPerRankHint: pat.EventsPerRankHint(e.params()),
-		Codec:             e.Codec,
 	}
 }
 
@@ -238,53 +237,31 @@ func (e *Experiment) program() (patterns.Pattern, sim.Program, error) {
 // first failure cancels. That failure is returned as "core: run i: …";
 // cancellation fallout from sibling runs is not a failure of its own
 // run, and recording it would mask the root cause behind "run N:
-// cancelled". If ctx itself ends, dispatch stops and the error wraps
-// ctx.Err().
+// cancelled". Once that context ends, the remaining runs are skipped
+// without starting, and if ctx itself ended the error wraps ctx.Err().
 func forEachRun(ctx context.Context, workers, runs int, fn func(ctx context.Context, i int) error) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, runs)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
-		next     = make(chan int)
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if runCtx.Err() != nil {
-					continue
-				}
-				if executeRunHook != nil {
-					executeRunHook(i)
-				}
-				err := fn(runCtx, i)
-				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					continue
-				}
-				errOnce.Do(func() {
-					firstErr = fmt.Errorf("core: run %d: %w", i, err)
-					cancel()
-				})
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < runs; i++ {
-		select {
-		case next <- i:
-		case <-runCtx.Done():
-			break dispatch
+	par.ForEach(workers, runs, func(i int) {
+		if runCtx.Err() != nil {
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
+		if executeRunHook != nil {
+			executeRunHook(i)
+		}
+		err := fn(runCtx, i)
+		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return
+		}
+		errOnce.Do(func() {
+			firstErr = fmt.Errorf("core: run %d: %w", i, err)
+			cancel()
+		})
+	})
 	if firstErr != nil {
 		return firstErr
 	}

@@ -124,19 +124,20 @@ func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern,
 		Seed: e.BaseSeed + int64(i),
 	}
 	cfg := e.config(i, pat)
-	sw := trace.NewStreamWriterOptions(f, meta, cfg.Codec)
+	sw := trace.NewStreamWriterOptions(f, meta, e.Codec)
 	cfg.Sink = sw
 	_, stats, err := sim.RunContext(ctx, cfg, meta, program)
+	if err == nil {
+		if err = sw.Close(); err != nil {
+			err = fmt.Errorf("encode %s: %w", path, err)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		f.Close()
+		// A partial file must not stay in the content-addressed archive.
 		os.Remove(path)
-		return nil, err
-	}
-	if err := sw.Close(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("encode %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
 		return nil, err
 	}
 	return stats, nil

@@ -163,3 +163,24 @@ func TestExecuteStreamRejectsBadConfig(t *testing.T) {
 		t.Error("unknown pattern accepted")
 	}
 }
+
+// TestExecuteStreamFailedEncodeLeavesNoFile pins that a run whose
+// encode fails leaves no partial trace in the archive: the directory
+// is content-addressed, so a truncated run-<i>.anctr there would pass
+// for a finished one.
+func TestExecuteStreamFailedEncodeLeavesNoFile(t *testing.T) {
+	e := DefaultExperiment("message_race", 4, 50)
+	e.Runs = 2
+	e.Codec = trace.CodecOptions{Level: 42}
+	dir := t.TempDir()
+	if _, err := e.ExecuteStreamContext(context.Background(), nil, dir); err == nil {
+		t.Fatal("out-of-range codec level accepted")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "run-*.anctr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("failed encode left %v in the archive", left)
+	}
+}

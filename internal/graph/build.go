@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
+	"github.com/anacin-go/anacinx/internal/par"
 	"github.com/anacin-go/anacinx/internal/trace"
 	"github.com/anacin-go/anacinx/internal/vtime"
 )
@@ -101,7 +101,6 @@ type builder struct {
 	send, recv      joinSlots
 	outBack, inBack []int32
 	numProg         int
-	readAhead       bool
 }
 
 // build constructs the event graph of src on up to workers goroutines
@@ -160,10 +159,6 @@ func build(src trace.Source, meta trace.Meta, workers int) (*Graph, error) {
 		outBack: make([]int32, prog+sends),
 		inBack:  make([]int32, prog+recvs),
 		numProg: int(prog),
-		// Each rank is drained start to finish in stage A, so segment
-		// read-ahead overlaps the next block's inflate with this
-		// block's fill whenever a second core exists.
-		readAhead: runtime.GOMAXPROCS(0) > 1,
 	}
 	if err := forEachRank(workers, p, b.fillRank); err != nil {
 		return nil, fmt.Errorf("graph: source trace invalid: %w", err)
@@ -176,35 +171,11 @@ func build(src trace.Source, meta trace.Meta, workers int) (*Graph, error) {
 }
 
 // forEachRank runs fn for every rank and returns the lowest-rank error.
-// With one worker it runs inline; otherwise ranks are handed out through
-// an atomic counter (work stealing), so a heavy rank — the fan-in root
-// of a message race — does not serialize behind a static partition.
+// Ranks are claimed from a shared counter, so a heavy rank — the fan-in
+// root of a message race — does not serialize behind a static partition.
 func forEachRank(workers, p int, fn func(rank int) error) error {
-	if workers <= 1 {
-		for r := 0; r < p; r++ {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, p)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= p {
-					return
-				}
-				errs[r] = fn(r)
-			}
-		}()
-	}
-	wg.Wait()
+	par.ForEach(workers, p, func(r int) { errs[r] = fn(r) })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -220,9 +191,6 @@ func (b *builder) fillRank(r int) error {
 	l := &b.lay[r]
 	g := b.g
 	c := b.src.Cursor(r)
-	if b.readAhead {
-		c.EnableReadAhead()
-	}
 	var ev trace.Event
 	var lastTime vtime.Time
 	var lastLamport int64

@@ -78,7 +78,7 @@ func (c *Cache) Features(k Kernel, g *graph.Graph) FeatureVector {
 // looked up (or computed and stored) per graph, then the Gram matrix
 // is assembled exactly as the uncached NewMatrix would.
 func (c *Cache) NewMatrix(k Kernel, graphs []*graph.Graph) *Matrix {
-	return newMatrix(k, graphs, defaultWorkers(), c)
+	return newMatrix(k, graphs, 0, c)
 }
 
 // NewMatrixWorkers is NewMatrix with an explicit worker count.

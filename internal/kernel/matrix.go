@@ -2,11 +2,9 @@ package kernel
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/anacin-go/anacinx/internal/graph"
+	"github.com/anacin-go/anacinx/internal/par"
 )
 
 // Matrix is a precomputed kernel (Gram) matrix over a set of graphs.
@@ -24,7 +22,7 @@ type Matrix struct {
 // stages fan out across the machine's cores; every value is written to
 // a fixed index, so the matrix is identical to the sequential result.
 func NewMatrix(k Kernel, graphs []*graph.Graph) *Matrix {
-	return newMatrix(k, graphs, defaultWorkers(), nil)
+	return newMatrix(k, graphs, 0, nil)
 }
 
 // NewMatrixWorkers is NewMatrix with an explicit worker count. Tests
@@ -38,96 +36,33 @@ func NewMatrixWorkers(k Kernel, graphs []*graph.Graph, workers int) *Matrix {
 	return newMatrix(k, graphs, workers, nil)
 }
 
-// defaultWorkers is the worker count the parallel stages use when the
-// caller does not pin one.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// newMatrix is the shared implementation: explicit worker count,
-// optional embedding cache (nil computes every embedding).
+// newMatrix is the shared implementation: explicit worker count (<= 0
+// means GOMAXPROCS), optional embedding cache (nil computes every
+// embedding).
 func newMatrix(k Kernel, graphs []*graph.Graph, workers int, cache *Cache) *Matrix {
 	n := len(graphs)
-	// Degenerate sizes, handled explicitly rather than by trusting the
-	// worker pool's edge behavior: no graphs means a 0x0 matrix (still
-	// carrying the kernel name), and one graph means a single
-	// self-similarity value with no pairwise stage at all.
-	switch n {
-	case 0:
-		return &Matrix{KernelName: k.Name(), K: [][]float64{}}
-	case 1:
-		f := cache.Features(k, graphs[0])
-		return &Matrix{KernelName: k.Name(), K: [][]float64{{f.Dot(f)}}}
-	}
-	if workers > n {
-		workers = n
-	}
 	m := &Matrix{KernelName: k.Name(), K: make([][]float64, n)}
 	for i := range m.K {
 		m.K[i] = make([]float64, n)
 	}
 	feats := make([]FeatureVector, n)
-	if workers < 2 {
-		for i, g := range graphs {
-			feats[i] = cache.Features(k, g)
-		}
-		fillRows(feats, m.K, 0, n)
-		return m
-	}
-
-	// Stage 1: embed each graph. Indices are claimed with an atomic
-	// cursor so a slow embedding does not stall its neighbours.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				feats[i] = cache.Features(k, graphs[i])
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Stage 2: the upper-triangle dot products, one row at a time. Rows
-	// shrink linearly (row i has n-i products), so work-stealing rows
-	// off a shared cursor balances better than pre-chunking.
-	cursor.Store(0)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fillRows(feats, m.K, i, i+1)
-			}
-		}()
-	}
-	wg.Wait()
+	// Stage 1 embeds each graph; stage 2 fills the upper triangle one
+	// row at a time. Rows shrink linearly (row i has n-i products), so
+	// claiming rows off a shared counter balances better than
+	// pre-chunking.
+	par.ForEach(workers, n, func(i int) { feats[i] = cache.Features(k, graphs[i]) })
+	par.ForEach(workers, n, func(i int) { fillRows(feats, m.K, i, i+1) })
 	return m
 }
 
 // MatrixFromFeatures builds a Gram matrix from already-computed
 // embeddings — the streaming campaign path embeds each run as its trace
-// is consumed, so no graphs exist by matrix time. The degenerate sizes
-// and the dot-product order match newMatrix exactly, making the matrix
+// is consumed, so no graphs exist by matrix time. The dot-product
+// order matches newMatrix exactly, making the matrix
 // (and every distance derived from it) byte-identical to the
 // graph-based construction over the same embeddings.
 func MatrixFromFeatures(kernelName string, feats []FeatureVector) *Matrix {
 	n := len(feats)
-	switch n {
-	case 0:
-		return &Matrix{KernelName: kernelName, K: [][]float64{}}
-	case 1:
-		f := feats[0]
-		return &Matrix{KernelName: kernelName, K: [][]float64{{f.Dot(f)}}}
-	}
 	m := &Matrix{KernelName: kernelName, K: make([][]float64, n)}
 	for i := range m.K {
 		m.K[i] = make([]float64, n)

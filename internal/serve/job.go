@@ -10,6 +10,7 @@ import (
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/campaign"
+	"github.com/anacin-go/anacinx/internal/par"
 	"github.com/anacin-go/anacinx/internal/trace"
 )
 
@@ -222,9 +223,6 @@ func NewRegistry(store *Store, cellWorkers, simWorkers int) *Registry {
 // tunes archived-trace compression (zero = the v2 format default; the
 // codec worker count never changes archived bytes).
 func NewRegistryArchive(store *Store, cellWorkers, simWorkers int, archiveDir string, codec trace.CodecOptions) *Registry {
-	if cellWorkers < 1 {
-		cellWorkers = runtime.GOMAXPROCS(0)
-	}
 	if simWorkers < 1 {
 		simWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -340,41 +338,12 @@ func (j *Job) run(ctx context.Context, r *Registry) {
 	j.mu.Unlock()
 	j.log.Append("job", view)
 
-	workers := r.cellWorkers
-	if workers > len(j.specs) {
-		workers = len(j.specs)
-	}
-	// Each cell's runs get the remaining share of the machine, like the
-	// campaign Runner's two-level budget.
-	runWorkers := runtime.GOMAXPROCS(0) / workers
-	if runWorkers < 1 {
-		runWorkers = 1
-	}
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				j.runCell(ctx, r, idx, runWorkers)
-			}
-		}()
-	}
-dispatch:
-	for i := range j.specs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
+	workers, runWorkers := campaign.CoreBudget(r.cellWorkers, len(j.specs))
+	par.ForEach(workers, len(j.specs), func(idx int) {
+		if ctx.Err() == nil {
+			j.runCell(ctx, r, idx, runWorkers)
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 
 	j.mu.Lock()
 	j.finished = time.Now()

@@ -86,13 +86,6 @@ type Config struct {
 	// sequence numbers are the sink's concern; sink errors surface
 	// through the sink (trace.StreamWriter.Close/Err), not through Run.
 	Sink trace.EventSink
-	// Codec tunes how sink-constructing layers (core.streamRun and
-	// everything above it) compress archived v2 traces: DEFLATE level
-	// and codec worker count. The simulator itself never reads it — it
-	// rides the Config so one knob reaches every layer that builds a
-	// trace.StreamWriter from one. The zero value is the v2 format
-	// default. The worker count never changes archived bytes.
-	Codec trace.CodecOptions
 }
 
 // DefaultEventsPerRankHint is the per-rank event-stream capacity used

@@ -44,6 +44,13 @@ type CodecOptions struct {
 	Workers int
 }
 
+// Validate reports options no encoder accepts, so a command can reject
+// them before simulating anything to encode.
+func (o CodecOptions) Validate() error {
+	_, _, err := o.resolve()
+	return err
+}
+
 // resolve validates the options and fills defaults.
 func (o CodecOptions) resolve() (level, workers int, err error) {
 	level = o.Level

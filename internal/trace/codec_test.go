@@ -181,13 +181,7 @@ func TestConcurrentCursorsMatchSerial(t *testing.T) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				c := r.Cursor(rank)
-				if rank%2 == pass%2 {
-					// Half the cursors pull segments through the read-ahead
-					// goroutine, alternating halves across passes.
-					c.EnableReadAhead()
-				}
-				got[rank], errs[rank] = collectRank(c)
+				got[rank], errs[rank] = collectRank(r.Cursor(rank))
 			}(rank)
 		}
 		wg.Wait()
@@ -212,31 +206,4 @@ func snapsEqual(want, got []eventSnap) error {
 		}
 	}
 	return nil
-}
-
-// TestReadAheadCursorMatchesSerial forces read-ahead on regardless of
-// GOMAXPROCS and requires the stream to match a plain cursor — the
-// equality that lets OrderHash and ToTrace flip it on opportunistically.
-func TestReadAheadCursorMatchesSerial(t *testing.T) {
-	const procs, perRank = 2, 3*v2SegmentEvents + 13
-	tr := interleavedTrace(procs, perRank)
-	data := streamedArchive(t, tr, perRank)
-
-	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < procs; rank++ {
-		plain, err := collectRank(r.Cursor(rank))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ahead, err := collectRank(r.Cursor(rank).EnableReadAhead())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := snapsEqual(plain, ahead); err != nil {
-			t.Fatalf("rank %d: read-ahead stream diverged: %v", rank, err)
-		}
-	}
 }

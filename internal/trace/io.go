@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"runtime"
 )
 
 // WriteJSON serializes the trace as indented JSON.
@@ -126,15 +125,11 @@ func orderHash(src Source) (uint64, error) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
-	readAhead := runtime.GOMAXPROCS(0) > 1
 	var ev Event
 	for rank := 0; rank < src.Procs(); rank++ {
 		events, _, _, _ := src.RankCounts(rank)
 		writeInt(int64(events))
 		c := src.Cursor(rank)
-		if readAhead {
-			c.EnableReadAhead()
-		}
 		for c.Next(&ev) {
 			writeInt(int64(ev.Kind))
 			writeInt(int64(ev.Peer))

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -554,8 +553,7 @@ func growI64(s []int64, n int) []int64 {
 
 // segBuf holds one decoded segment: the column buffers plus the private
 // scratch (section reader, run list, inflate buffer) used to fill them.
-// A cursor owns one (two with read-ahead, swapped as prefetches land);
-// all buffers are reused across loads.
+// A cursor owns one; all buffers are reused across loads.
 type segBuf struct {
 	n        int
 	kinds    []byte
@@ -713,12 +711,6 @@ func (r *Reader) Cursor(rank int) *Cursor {
 	return c
 }
 
-// readAheadResult carries one prefetched segment back to its cursor.
-type readAheadResult struct {
-	sb  *segBuf
-	err error
-}
-
 // Cursor streams one rank's events in sequence order, decoding one
 // segment of columns at a time, or, for a cursor from Trace.Cursor,
 // copying them from the in-memory stream evs (r == nil).
@@ -730,67 +722,28 @@ type Cursor struct {
 	pos    int
 	seq    int
 	err    error
-
-	readAhead bool
-	cur       *segBuf
-	spare     *segBuf
-	pending   chan readAheadResult
-}
-
-// EnableReadAhead makes the cursor decode segment N+1 on a background
-// goroutine while the consumer drains segment N, overlapping inflate
-// and decode with the fold that follows. Call it before the first Next.
-// The decoded stream is identical; only wall-clock changes. It returns
-// the cursor for chaining.
-func (c *Cursor) EnableReadAhead() *Cursor {
-	c.readAhead = true
-	return c
+	cur    *segBuf
 }
 
 // Err returns the first decode error the cursor hit, or nil.
 func (c *Cursor) Err() error { return c.err }
 
-// nextSegment makes the next segment current, collecting an outstanding
-// prefetch or loading synchronously, and kicks off the next prefetch.
-// It returns false at end-of-stream or on error (recorded in c.err).
+// nextSegment decodes the next segment into the cursor's buffer. It
+// returns false at end-of-stream or on error (recorded in c.err).
 func (c *Cursor) nextSegment() bool {
 	segs := c.r.ranks[c.rank].segs
-	if c.pending != nil {
-		res := <-c.pending
-		c.pending = nil
-		if res.err != nil {
-			c.err = res.err
-			return false
-		}
-		c.cur, c.spare = res.sb, c.cur
-	} else {
-		if c.segIdx >= len(segs) {
-			return false
-		}
-		if c.cur == nil {
-			c.cur = &segBuf{}
-		}
-		if err := c.cur.load(c.r, c.rank, segs[c.segIdx]); err != nil {
-			c.err = err
-			return false
-		}
+	if c.segIdx >= len(segs) {
+		return false
+	}
+	if c.cur == nil {
+		c.cur = &segBuf{}
+	}
+	if err := c.cur.load(c.r, c.rank, segs[c.segIdx]); err != nil {
+		c.err = err
+		return false
 	}
 	c.segIdx++
 	c.pos = 0
-	if c.readAhead && c.segIdx < len(segs) {
-		sb := c.spare
-		c.spare = nil
-		if sb == nil {
-			sb = &segBuf{}
-		}
-		r, rank, seg := c.r, c.rank, segs[c.segIdx]
-		ch := make(chan readAheadResult, 1)
-		c.pending = ch
-		//anacin:allow goroutine read-ahead decodes the next segment into a buffer only it owns and parks the result in a buffered channel; the cursor collects it at the next segment boundary, and an abandoned cursor leaks nothing — the goroutine exits after its one send
-		go func() {
-			ch <- readAheadResult{sb: sb, err: sb.load(r, rank, seg)}
-		}()
-	}
 	return true
 }
 
@@ -846,16 +799,12 @@ func (r *Reader) OrderHash() (uint64, error) { return orderHash(r) }
 // of ReadBinary's v1 path.
 func (r *Reader) ToTrace() (*Trace, error) {
 	t := New(r.meta)
-	readAhead := runtime.GOMAXPROCS(0) > 1
 	var ev Event
 	for rank := range r.ranks {
 		if n := r.ranks[rank].events; n > 0 {
 			t.Events[rank] = make([]Event, 0, n)
 		}
 		c := r.Cursor(rank)
-		if readAhead {
-			c.EnableReadAhead()
-		}
 		for c.Next(&ev) {
 			t.Append(ev)
 		}

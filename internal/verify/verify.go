@@ -12,12 +12,10 @@ package verify
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"github.com/anacin-go/anacinx/internal/par"
 	"github.com/anacin-go/anacinx/internal/patterns"
 	"github.com/anacin-go/anacinx/internal/sim"
 )
@@ -260,33 +258,18 @@ func joinInts(xs []int) string {
 // VerifyPatterns verifies each pattern across the sweep and returns the
 // combined findings plus per-configuration summaries, in argument
 // order. Patterns are independent, so min(GOMAXPROCS, len(pats))
-// goroutines verify them concurrently, claiming patterns in argument
-// order from an atomic cursor; each pattern's results land at its own
-// index, so the output is the same at every core count.
+// goroutines verify them concurrently (par.ForEach); each pattern's
+// results land at its own index, so the output is the same at every
+// core count.
 func VerifyPatterns(pats []patterns.Pattern, opts Options) ([]Finding, []ConfigSummary) {
 	type result struct {
 		findings  []Finding
 		summaries []ConfigSummary
 	}
 	results := make([]result, len(pats))
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	for w := min(runtime.GOMAXPROCS(0), len(pats)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(pats) {
-					return
-				}
-				results[i].findings, results[i].summaries = VerifyPattern(pats[i], opts)
-			}
-		}()
-	}
-	wg.Wait()
+	par.ForEach(0, len(pats), func(i int) {
+		results[i].findings, results[i].summaries = VerifyPattern(pats[i], opts)
+	})
 	var (
 		findings  []Finding
 		summaries []ConfigSummary
