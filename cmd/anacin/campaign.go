@@ -55,7 +55,6 @@ flags:
 	archive := fs.String("archive", "", "archive every run's v2 trace under this directory\n(<dir>/<cell-fingerprint>/run-<i>.anctr, replayable with 'anacin replay')")
 	stream := fs.Bool("stream", false, "run cells through the streaming pipeline (flat per-cell memory;\nimplied by -archive)")
 	compressLevel := fs.Int("compress-level", 0, "DEFLATE level for archived traces (-2..9; 0 = format default,\nBestSpeed). Changes archived bytes; applies with -archive/-stream")
-	codecWorkers := fs.Int("codec-workers", 0, "trace-compression workers per archive writer (0 = one per core,\n1 = inline/serial). Never changes archived bytes")
 	timeout := fs.Duration("timeout", 0, "cancel the campaign after this wall-clock duration (0 = none)")
 	quiet := fs.Bool("quiet", false, "suppress per-cell progress on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -65,7 +64,7 @@ flags:
 	if err != nil {
 		return err
 	}
-	codec := trace.CodecOptions{Level: *compressLevel, Workers: *codecWorkers}
+	codec := trace.CodecOptions{Level: *compressLevel}
 	if err := codec.Validate(); err != nil {
 		return fmt.Errorf("-compress-level: %w", err)
 	}

@@ -57,12 +57,11 @@ flags:
 	grace := fs.Duration("grace", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM")
 	archive := fs.String("archive", "", "archive every run's v2 trace under this directory\n(<dir>/<cell-fingerprint>/run-<i>.anctr, replayable with 'anacin replay')")
 	compressLevel := fs.Int("compress-level", 0, "DEFLATE level for archived traces (-2..9; 0 = format default,\nBestSpeed). Changes archived bytes; applies with -archive")
-	codecWorkers := fs.Int("codec-workers", 0, "trace-compression workers per archive writer (0 = one per core,\n1 = inline/serial). Never changes archived bytes")
 	portFile := fs.String("portfile", "", "write the bound address to this file once listening (for scripts using :0)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	codec := trace.CodecOptions{Level: *compressLevel, Workers: *codecWorkers}
+	codec := trace.CodecOptions{Level: *compressLevel}
 	if err := codec.Validate(); err != nil {
 		return fmt.Errorf("-compress-level: %w", err)
 	}

@@ -136,8 +136,8 @@ func cellExperiment(q *Grid, spec CellSpec, runWorkers int) (Cell, core.Experime
 // content-addressed store replayable with `anacin replay`. The
 // resulting Cell is byte-identical to RunCell's (the embeddings, and
 // therefore the summary, match exactly — a property the tests pin).
-// codec tunes archived-trace compression (zero = format default); the
-// worker count never changes archived bytes.
+// codec tunes archived-trace compression; only its Level applies
+// (zero = format default), and runs compress inline.
 func RunCellStream(ctx context.Context, g Grid, spec CellSpec, runWorkers int, archiveDir string, codec trace.CodecOptions) Cell {
 	q := g.withDefaults()
 	cell, e := cellExperiment(&q, spec, runWorkers)

@@ -61,9 +61,9 @@ type Runner struct {
 	// ArchiveDir, when non-empty, archives every run's v2 trace under
 	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr and implies Stream.
 	ArchiveDir string
-	// Codec tunes archived-trace compression (DEFLATE level, codec
-	// worker count) on the streaming path. Zero is the v2 format
-	// default; the worker count never changes archived bytes.
+	// Codec tunes archived-trace compression on the streaming path.
+	// Only Level applies (zero is the v2 format default); each run
+	// compresses inline on the goroutine that simulates it.
 	Codec trace.CodecOptions
 }
 

@@ -60,9 +60,11 @@ type Experiment struct {
 	Net sim.NetModel
 	// Replay optionally pins receives to a recorded schedule.
 	Replay *sim.Schedule
-	// Codec tunes archived-trace compression on the streaming path
-	// (DEFLATE level, codec worker count); ignored unless the
-	// experiment streams to an archive. Zero is the v2 format default.
+	// Codec tunes archived-trace compression on the streaming path;
+	// ignored unless the experiment streams to an archive. Only Level
+	// applies (zero is the v2 format default): each run compresses
+	// inline on its run-pool goroutine, since the pool already spreads
+	// runs over the cores, so Workers is not used.
 	Codec trace.CodecOptions
 }
 

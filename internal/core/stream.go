@@ -105,7 +105,9 @@ func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, a
 }
 
 // streamRun simulates run i with its events streaming into a v2 trace
-// file at path.
+// file at path. It compresses inline on the calling run-pool goroutine
+// (only Codec.Level is passed on), so the pool is the one level of
+// parallelism and a failed run leaves no codec goroutine behind.
 func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string) (*sim.Stats, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -124,7 +126,7 @@ func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern,
 		Seed: e.BaseSeed + int64(i),
 	}
 	cfg := e.config(i, pat)
-	sw := trace.NewStreamWriterOptions(f, meta, e.Codec)
+	sw := trace.NewStreamWriterOptions(f, meta, trace.CodecOptions{Level: e.Codec.Level})
 	cfg.Sink = sw
 	_, stats, err := sim.RunContext(ctx, cfg, meta, program)
 	if err == nil {

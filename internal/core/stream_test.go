@@ -3,14 +3,18 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/anacin-go/anacinx/internal/kernel"
+	"github.com/anacin-go/anacinx/internal/sim"
 	"github.com/anacin-go/anacinx/internal/trace"
 )
 
@@ -182,5 +186,70 @@ func TestExecuteStreamFailedEncodeLeavesNoFile(t *testing.T) {
 	}
 	if len(left) > 0 {
 		t.Errorf("failed encode left %v in the archive", left)
+	}
+}
+
+// TestExecuteStreamFailedRunLeavesNoGoroutines pins that a streamed run
+// that fails mid-simulation leaves no goroutine behind at any
+// Codec.Workers setting: runs compress inline, so no codec pipeline is
+// started that a failed run (which never closes its writer) would
+// leave parked, holding the writer's buffers. The run fails
+// deterministically — a replay schedule cut short panics the rank that
+// asks for the missing match — after the rank has flushed a full
+// segment, so the pipeline is running when the run fails.
+func TestExecuteStreamFailedRunLeavesNoGoroutines(t *testing.T) {
+	const segmentEvents = 1024 // the v2 writer's per-rank flush threshold
+	e := DefaultExperiment("message_race", 8, 100)
+	e.Runs = 1
+	e.Iterations = 200
+	rs, err := e.ExecuteContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := sim.RecordSchedule(rs.Traces[0])
+	cut := -1
+	for rank, evs := range rs.Traces[0].Events {
+		recvs := 0
+		for i := range evs {
+			if evs[i].Kind.IsReceive() && evs[i].MsgID != trace.NoMsg {
+				if i >= segmentEvents {
+					sched.PerRank[rank] = sched.PerRank[rank][:recvs]
+					cut = rank
+					break
+				}
+				recvs++
+			}
+		}
+		if cut >= 0 {
+			break
+		}
+	}
+	if cut < 0 {
+		t.Fatalf("no rank receives after its first %d events; enlarge the run", segmentEvents)
+	}
+	e.Replay = sched
+
+	for _, workers := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := e
+			e.Codec = trace.CodecOptions{Workers: workers}
+			dir := t.TempDir()
+			base := runtime.NumGoroutine()
+			_, err := e.ExecuteStreamContext(context.Background(), nil, dir)
+			var pe *sim.PanicError
+			if !errors.As(err, &pe) || pe.Rank != cut {
+				t.Fatalf("err = %v, want rank %d's replay panic", err, cut)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the failed run, %d before", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "run-*.anctr")); len(left) > 0 {
+				t.Errorf("failed run left %v in the archive", left)
+			}
+		})
 	}
 }

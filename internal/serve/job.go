@@ -220,8 +220,8 @@ func NewRegistry(store *Store, cellWorkers, simWorkers int) *Registry {
 // every run's v2 trace is kept under
 // <archiveDir>/<cell-fingerprint>/run-<i>.anctr, replayable with
 // `anacin replay`. Cell results are byte-identical either way. codec
-// tunes archived-trace compression (zero = the v2 format default; the
-// codec worker count never changes archived bytes).
+// tunes archived-trace compression; only its Level applies (zero = the
+// v2 format default), and runs compress inline.
 func NewRegistryArchive(store *Store, cellWorkers, simWorkers int, archiveDir string, codec trace.CodecOptions) *Registry {
 	if simWorkers < 1 {
 		simWorkers = runtime.GOMAXPROCS(0)

@@ -33,9 +33,9 @@ type Config struct {
 	// durable counterpart of the in-memory result store: any archived
 	// cell can be re-derived offline with `anacin replay`.
 	ArchiveDir string
-	// Codec tunes archived-trace compression (DEFLATE level, codec
-	// worker count). Zero is the v2 format default; the worker count
-	// never changes archived bytes.
+	// Codec tunes archived-trace compression. Only Level applies (zero
+	// is the v2 format default); each run compresses inline on the
+	// goroutine that simulates it.
 	Codec trace.CodecOptions
 	// Log receives request and lifecycle lines (nil = log.Default()).
 	Log *log.Logger

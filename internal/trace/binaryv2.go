@@ -253,9 +253,12 @@ func (s *fileSink) writeString(str string) {
 // first I/O or usage error disables further encoding and is returned by
 // Close (and Err).
 //
-// With CodecOptions.Workers > 1 the DEFLATE stage runs on a worker
-// pool behind a sequence-numbered reorder (codec.go); the bytes
-// written are identical to the serial path's for every worker count.
+// By default each block is DEFLATEd inline on the Append path with one
+// pooled compression context, so a writer starts no goroutines. With
+// CodecOptions.Workers > 1 the DEFLATE stage runs on a worker pool
+// behind a sequence-numbered reorder (codec.go) until Close joins it;
+// the bytes written are identical to the serial path's for every
+// worker count.
 //
 // StreamWriter implements EventSink.
 type StreamWriter struct {
@@ -300,7 +303,6 @@ func NewStreamWriterOptions(w io.Writer, meta Meta, opts CodecOptions) *StreamWr
 	sw := &StreamWriter{
 		sink:    fileSink{bw: bufio.NewWriter(w)},
 		meta:    meta,
-		ranks:   make([]rankEncoder, meta.Procs),
 		dict:    make(map[string]int),
 		lastIdx: -1,
 	}
@@ -308,6 +310,7 @@ func NewStreamWriterOptions(w io.Writer, meta Meta, opts CodecOptions) *StreamWr
 		sw.err = fmt.Errorf("trace: negative proc count %d", meta.Procs)
 		return sw
 	}
+	sw.ranks = make([]rankEncoder, meta.Procs)
 	level, workers, err := opts.resolve()
 	if err != nil {
 		sw.err = err
@@ -702,7 +705,7 @@ func (sw *StreamWriter) Err() error {
 func (sw *StreamWriter) NumEvents() int { return sw.total }
 
 // WriteBinaryV2 serializes the trace in the v2 binary format with
-// default codec options.
+// default codec options (compressed inline).
 func (t *Trace) WriteBinaryV2(w io.Writer) error {
 	return t.WriteBinaryV2Options(w, CodecOptions{})
 }

@@ -269,6 +269,17 @@ func TestStreamWriterUsageErrors(t *testing.T) {
 	}
 }
 
+// TestStreamWriterRejectsNegativeProcs pins that a negative proc count
+// is a sticky error that Close returns, not a makeslice panic.
+func TestStreamWriterRejectsNegativeProcs(t *testing.T) {
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf, Meta{Procs: -1})
+	sw.Append(Event{Rank: 0})
+	if err := sw.Close(); err == nil || !strings.Contains(err.Error(), "negative proc count") {
+		t.Errorf("Close = %v, want the negative proc count error", err)
+	}
+}
+
 func TestOpenReaderRejectsV1(t *testing.T) {
 	tr := buildValidTrace()
 	path := filepath.Join(t.TempDir(), "v1.anctr")

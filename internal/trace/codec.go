@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 )
 
@@ -13,19 +12,20 @@ import (
 // (CodecOptions), the process-wide pools that keep DEFLATE contexts and
 // segment scratch buffers out of the per-segment allocation path, and
 // the pipelined compression stage the StreamWriter hands segments to
-// when it runs with more than one codec worker.
+// when it is asked for more than one codec worker.
 //
 // The parallelism is invisible in the output: every segment block is an
 // independent compression context (the writer calls flate.Writer.Reset
 // per block), so compressing blocks on N workers produces exactly the
 // bytes the serial path produces, and the ordered drain writes them in
 // submission order at the offsets the serial path would have chosen.
-// Byte-identity across worker counts — including Workers=1, which skips
-// the pipeline entirely — is pinned by TestArchiveBytesIdenticalAcrossCodecWorkers.
+// Byte-identity across worker counts — including the inline default,
+// which skips the pipeline entirely — is pinned by
+// TestArchiveBytesIdenticalAcrossCodecWorkers.
 
 // CodecOptions tunes how a v2 trace encoder compresses segment and
 // footer payloads. The zero value is the format default: BestSpeed
-// DEFLATE, one codec worker per core.
+// DEFLATE, compressed inline on the Append path with no goroutines.
 type CodecOptions struct {
 	// Level is the DEFLATE level for every compressed frame. 0 means
 	// the format default (flate.BestSpeed); any other value is handed
@@ -35,12 +35,15 @@ type CodecOptions struct {
 	// has no use here, and 0 keeps the zero value meaning "default".)
 	// The level changes the archived bytes; the worker count never does.
 	Level int
-	// Workers bounds the segment-compression pipeline. 0 means one
-	// worker per core (GOMAXPROCS); 1 compresses inline on the Append
-	// path with no extra goroutines — the serial path; >1 moves DEFLATE
-	// onto that many pooled workers with a sequence-numbered reorder
-	// before the file writer. Output bytes are identical for every
-	// worker count.
+	// Workers bounds the segment-compression pipeline. 0 (the default)
+	// and 1 compress inline on the Append path with one pooled DEFLATE
+	// context and no extra goroutines; every writer in the program
+	// runs this way. N > 1 moves DEFLATE onto N goroutines, each
+	// holding one pooled context from its first block until Close,
+	// with a sequence-numbered reorder before the file writer; only an
+	// explicit WriteBinaryV2Options call (the trace-encode/*-par4 bench
+	// scenario) asks for it. Negative values mean 0. Output bytes are
+	// identical for every worker count.
 	Workers int
 }
 
@@ -61,17 +64,16 @@ func (o CodecOptions) resolve() (level, workers int, err error) {
 		return 0, 0, fmt.Errorf("trace: codec level %d out of range [%d,%d]",
 			o.Level, flate.HuffmanOnly, flate.BestCompression)
 	}
-	workers = o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = max(o.Workers, 1)
 	return level, workers, nil
 }
 
 // compressor is one reusable DEFLATE context: a flate.Writer pinned to
 // a level plus the buffer it compresses into. Pooled so steady-state
-// encoding allocates neither (a fresh flate.Writer alone is ~600 KiB of
-// window and hash-chain state).
+// encoding allocates neither: a fresh flate.Writer alone is 1,171 KiB of
+// window and hash-chain state at BestSpeed (715 KiB at HuffmanOnly,
+// 787 KiB at levels 2–9, measured with Go 1.24's compress/flate),
+// which is why a writer holds as few as it can.
 type compressor struct {
 	level int
 	fw    *flate.Writer
@@ -172,12 +174,13 @@ type segRef struct {
 
 // codecJob is one segment block travelling through the pipeline: the
 // uncompressed header, the raw payload to DEFLATE, the footer refs to
-// record at write time, and the compression result.
+// record at write time, and the compression result (a pooled buffer
+// the drain recycles once the block is written).
 type codecJob struct {
 	header  []byte
 	payload []byte
 	refs    []segRef
-	comp    *compressor
+	comp    []byte
 	err     error
 	done    chan struct{}
 }
@@ -187,7 +190,10 @@ type codecJob struct {
 // the buffered `ordered` channel; the drain goroutine owns the writer's
 // file sink (and the footer segment lists) from the first submit until
 // finish returns, which is also what bounds in-flight memory: submit
-// blocks once 2×workers jobs are outstanding.
+// blocks once 2×workers jobs are outstanding. Each worker holds one
+// DEFLATE context for its lifetime and copies its output out, so a
+// pipeline of N workers holds N contexts however many blocks wait on
+// the drain.
 type codecPipeline struct {
 	sw      *StreamWriter
 	jobs    chan *codecJob
@@ -216,11 +222,19 @@ func newCodecPipeline(sw *StreamWriter, workers int) *codecPipeline {
 
 func (p *codecPipeline) compressLoop() {
 	defer p.workers.Done()
+	// The context is taken on the first job, so a pipeline that sees
+	// fewer blocks than workers holds only as many contexts as blocks.
+	var c *compressor
+	defer func() { putCompressor(c) }()
 	for job := range p.jobs {
-		c, err := getCompressor(p.sw.level)
+		var err error
+		if c == nil {
+			c, err = getCompressor(p.sw.level)
+		}
 		if err == nil {
-			job.comp = c
-			_, err = c.compress(job.payload)
+			var comp []byte
+			comp, err = c.compress(job.payload)
+			job.comp = append(getBuf(), comp...)
 		}
 		job.err = err
 		close(job.done)
@@ -246,13 +260,9 @@ func (p *codecPipeline) drain() {
 			p.err = job.err
 		}
 		if p.err == nil {
-			var comp []byte
-			if job.comp != nil {
-				comp = job.comp.buf.Bytes()
-			}
-			p.sw.writeBlock(job.header, len(job.payload), comp, job.refs)
+			p.sw.writeBlock(job.header, len(job.payload), job.comp, job.refs)
 		}
-		putCompressor(job.comp)
+		putBuf(job.comp)
 		putBuf(job.header)
 		putBuf(job.payload)
 	}

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestArchiveBytesIdenticalAcrossCodecWorkers pins the parallel codec's
 // core contract: the worker count is a throughput knob, never a format
-// knob. Every worker setting — serial, the pipeline at several widths,
-// and the GOMAXPROCS default — must produce archives byte-identical to
-// the serial encode, because each segment block is an independent
-// DEFLATE stream and the drain writes blocks in submission order.
+// knob. Every worker setting — 0 and 1 (both inline) and the pipeline
+// at several widths — must produce archives byte-identical to the
+// serial encode, because each segment block is an independent DEFLATE
+// stream and the drain writes blocks in submission order.
 func TestArchiveBytesIdenticalAcrossCodecWorkers(t *testing.T) {
 	tr := interleavedTrace(3, 2*v2SegmentEvents+57)
 
@@ -49,7 +52,7 @@ func TestArchiveBytesIdenticalAcrossCodecWorkers(t *testing.T) {
 // TestStreamWriterBytesIdenticalAcrossCodecWorkers repeats the
 // determinism pin on the streaming path — interleaved appends, segment
 // flushes mid-stream — which is the path campaign archives actually
-// take.
+// take: at the inline default (0) and at explicit pipeline widths.
 func TestStreamWriterBytesIdenticalAcrossCodecWorkers(t *testing.T) {
 	const procs, perRank = 3, v2SegmentEvents + 211
 	tr := interleavedTrace(procs, perRank)
@@ -105,6 +108,87 @@ func TestCodecLevelRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	if err := tr.WriteBinaryV2Options(&buf, CodecOptions{Level: 42}); err == nil {
 		t.Error("out-of-range compression level accepted")
+	}
+}
+
+// goroutineProbe is an io.Writer that checks, at every Write, the
+// process's goroutine count against base, the count taken before the
+// writer under test was built.
+type goroutineProbe struct {
+	bytes.Buffer
+	base   int
+	writes int
+	off    []int // goroutine counts seen at Writes where it was not base
+}
+
+func (w *goroutineProbe) Write(p []byte) (int, error) {
+	w.writes++
+	if n := runtime.NumGoroutine(); n != w.base {
+		w.off = append(w.off, n)
+	}
+	return w.Buffer.Write(p)
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for a few milliseconds, so goroutines that earlier tests joined have
+// finished exiting before a test takes its baseline.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for i := 0; i < 1000 && still < 5; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// TestStreamWriterDefaultStartsNoGoroutines pins the zero CodecOptions
+// as inline compression: a default StreamWriter encoding an interleaved
+// multi-segment trace, on a multi-core GOMAXPROCS, writes every block
+// from the appending goroutine with no codec goroutine alive. Callers
+// such as the campaign run pool already run one writer per core, so a
+// default writer must not add a level of parallelism under them.
+func TestStreamWriterDefaultStartsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const procs, perRank = 4, 2*v2SegmentEvents + 57
+	tr := interleavedTrace(procs, perRank)
+	// Random message sizes keep each segment block kilobytes long after
+	// DEFLATE, so blocks reach the io.Writer while events still arrive.
+	rng := rand.New(rand.NewSource(1))
+	for _, evs := range tr.Events {
+		for i := range evs {
+			evs[i].Size = rng.Intn(1 << 24)
+		}
+	}
+
+	probe := &goroutineProbe{base: settledGoroutines()}
+	sw := NewStreamWriter(probe, tr.Meta)
+	for i := 0; i < perRank; i++ {
+		for rank := 0; rank < procs; rank++ {
+			sw.Append(tr.Events[rank][i])
+		}
+	}
+	appendWrites := probe.writes
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.off) > 0 {
+		t.Errorf("%d of %d writes ran with goroutine counts %v, want %d at every write",
+			len(probe.off), probe.writes, probe.off, probe.base)
+	}
+	if appendWrites == 0 {
+		t.Fatal("no block reached the io.Writer before Close: the trace is too small to exercise segment flushes")
+	}
+	got, err := ReadBinary(bytes.NewReader(probe.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Hash() != tr.Hash() {
+		t.Error("inline encode changed the trace hash")
 	}
 }
 
