@@ -84,6 +84,12 @@ func (w WL) FeaturesFromReaderStats(r *trace.Reader) (FeatureVector, StreamStats
 	for d := 0; d <= w.H; d++ {
 		s.dp[d] = hashWord(fnvOffset, uint64(d))
 	}
+	// The windows start out carved from one allocation; a rank whose
+	// window outgrows its share reallocates alone.
+	initial := make([]*wlNode, len(s.windows)*windowSlab)
+	for i := range s.windows {
+		s.windows[i].buf = initial[i*windowSlab : i*windowSlab : (i+1)*windowSlab]
+	}
 	if err := s.run(); err != nil {
 		return FeatureVector{}, s.stats, err
 	}
@@ -107,23 +113,49 @@ type wlNode struct {
 	// pendingMsg marks a send whose receive has not arrived; until the
 	// stream ends, it is unknown whether an out message edge exists.
 	pendingMsg bool
-	inWork     bool
-	partner    *wlNode
-	labels     []uint64
+	// waiting marks a receive held in inflight until its send arrives.
+	waiting bool
+	inWork  bool
+	partner *wlNode
+	labels  []uint64
 }
 
 // wlWindow is one rank's sliding window, a deque indexed by sequence.
+// The live nodes are buf[lo:]; releasing the head advances lo, and a
+// push into a full buffer whose released prefix is at least half of it
+// slides the live nodes down instead of reallocating, so the buffer
+// stays within a small multiple of the rank's peak window.
 type wlWindow struct {
-	nodes []*wlNode
-	head  int // seq of nodes[0]
+	buf  []*wlNode
+	lo   int
+	head int // seq of buf[lo]
 }
+
+// nodes returns the live window, head first.
+func (w *wlWindow) nodes() []*wlNode { return w.buf[w.lo:] }
 
 func (w *wlWindow) at(seq int) *wlNode {
 	i := seq - w.head
-	if i < 0 || i >= len(w.nodes) {
+	if i < 0 || i >= len(w.buf)-w.lo {
 		return nil
 	}
-	return w.nodes[i]
+	return w.buf[w.lo+i]
+}
+
+func (w *wlWindow) push(n *wlNode) {
+	if len(w.buf) == cap(w.buf) && 2*w.lo >= len(w.buf) {
+		k := copy(w.buf, w.buf[w.lo:])
+		clear(w.buf[k:])
+		w.buf, w.lo = w.buf[:k], 0
+	}
+	w.buf = append(w.buf, n)
+}
+
+// pop drops the head node.
+func (w *wlWindow) pop() {
+	w.buf[w.lo] = nil
+	w.lo++
+	w.head++
 }
 
 // wlStream drives one embedding pass.
@@ -136,8 +168,11 @@ type wlStream struct {
 	feats    map[uint64]float64
 	work     []*wlNode
 	neigh    []uint64
-	live     int
-	stats    StreamStats
+	// free holds released nodes for reuse, so a pass allocates nodes in
+	// proportion to its peak window rather than its event count.
+	free  []*wlNode
+	live  int
+	stats StreamStats
 }
 
 func (s *wlStream) addFeat(h uint64) { s.feats[h]++ }
@@ -213,7 +248,7 @@ func (s *wlStream) run() error {
 	clear(s.inflight)
 	// Final drain: everything left can now refine to full depth.
 	for rank := range s.windows {
-		for _, n := range s.windows[rank].nodes {
+		for _, n := range s.windows[rank].nodes() {
 			s.push(n)
 		}
 	}
@@ -227,12 +262,23 @@ func (s *wlStream) run() error {
 	return nil
 }
 
-func (s *wlStream) ingest(ev trace.Event) error {
-	n := &wlNode{
-		seq:    ev.Seq,
-		rank:   ev.Rank,
-		labels: make([]uint64, s.w.H+1),
+// newNode returns a zeroed node for event seq of rank, recycled from
+// the free list when one is available.
+func (s *wlStream) newNode(seq, rank int) *wlNode {
+	if k := len(s.free); k > 0 {
+		n := s.free[k-1]
+		s.free = s.free[:k-1]
+		*n = wlNode{seq: seq, rank: rank, labels: n.labels}
+		return n
 	}
+	return &wlNode{seq: seq, rank: rank, labels: make([]uint64, s.w.H+1)}
+}
+
+// windowSlab is each rank window's initial capacity.
+const windowSlab = 16
+
+func (s *wlStream) ingest(ev trace.Event) error {
+	n := s.newNode(ev.Seq, ev.Rank)
 	base := labelInterner.Hash(ev.Label())
 	if s.w.Seed != 0 {
 		base = splitmix64(base ^ s.w.Seed)
@@ -250,6 +296,7 @@ func (s *wlStream) ingest(ev trace.Event) error {
 				if other.isSend {
 					return fmt.Errorf("kernel: msg %d sent twice (ranks %d and %d)", ev.MsgID, other.rank, n.rank)
 				}
+				other.waiting = false
 				n.partner, other.partner = other, n
 				delete(s.inflight, ev.MsgID)
 				s.push(other)
@@ -268,6 +315,7 @@ func (s *wlStream) ingest(ev trace.Event) error {
 				delete(s.inflight, ev.MsgID)
 				s.push(other)
 			} else {
+				n.waiting = true
 				s.inflight[ev.MsgID] = n
 			}
 		}
@@ -277,22 +325,23 @@ func (s *wlStream) ingest(ev trace.Event) error {
 	}
 
 	win := &s.windows[ev.Rank]
-	if len(win.nodes) == 0 {
+	if len(win.nodes()) == 0 {
 		win.head = ev.Seq
 	}
-	win.nodes = append(win.nodes, n)
+	win.push(n)
 	s.live++
 	s.stats.Events++
 	if s.live > s.stats.MaxWindow {
 		s.stats.MaxWindow = s.live
 	}
 
+	partner := n.partner // read before a release can recycle n
 	s.push(n)
 	s.push(win.at(ev.Seq - 1)) // its arrival may unblock the predecessor
 	s.propagate()
 	s.release(ev.Rank)
-	if n.partner != nil {
-		s.release(n.partner.rank)
+	if partner != nil {
+		s.release(partner.rank)
 	}
 	return nil
 }
@@ -379,11 +428,15 @@ func (s *wlStream) advance(n *wlNode) bool {
 
 // release frees the window head of one rank while nothing still needs
 // it: the head itself is fully refined, its successor (which reads the
-// head's labels) is too, and so is its message partner.
+// head's labels) is too, and so is its message partner. A freed node
+// goes to the free list once nothing points at it: its partner's
+// back-pointer is cleared (the partner is fully refined and never reads
+// it again), and a receive still waiting in inflight for its send is
+// left to the garbage collector.
 func (s *wlStream) release(rank int) {
 	win := &s.windows[rank]
-	for len(win.nodes) > 0 {
-		n := win.nodes[0]
+	for len(win.nodes()) > 0 {
+		n := win.nodes()[0]
 		if n.depth < s.w.H || n.pendingMsg {
 			return
 		}
@@ -396,9 +449,14 @@ func (s *wlStream) release(rank int) {
 		if n.partner != nil && (n.partner.depth < s.w.H || n.partner.pendingMsg) {
 			return
 		}
-		win.nodes[0] = nil
-		win.nodes = win.nodes[1:]
-		win.head++
+		win.pop()
 		s.live--
+		if n.waiting {
+			continue
+		}
+		if n.partner != nil {
+			n.partner.partner = nil
+		}
+		s.free = append(s.free, n)
 	}
 }

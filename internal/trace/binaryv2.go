@@ -88,12 +88,12 @@ const v2MinEventBytes = 9
 const v2SegmentEvents = 1024
 
 // v2DrainBlockEvents caps how many events Close's final drain packs
-// into one multi-rank block. Small enough that a cursor inflating a
-// shared block (it decompresses the whole block to reach its run) does
-// bounded redundant work across many ranks; large enough that a small
-// trace's ranks share one compression context. (The reader additionally
-// caches a shared block's inflated payload across the cursors that
-// need it — see sharedBlock in reader.go.)
+// into one multi-rank block. Small enough that the inflated payload a
+// reader holds to serve the block's ranks stays a few KiB; large enough
+// that a small trace's ranks share one compression context. (The
+// reader inflates a shared block once per pass and caches the payload
+// until every rank's cursor has decoded its run — see sharedBlock in
+// reader.go.)
 const v2DrainBlockEvents = 256
 
 // v2TrailerSize is the fixed byte size of the v2 trailer.

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -55,14 +57,14 @@ type rankIndex struct {
 	segs                 []v2Segment
 }
 
-// sectionDecoder reads varint-framed fields from a byte-range of the
-// underlying file.
+// sectionDecoder reads varint-framed fields: from a byte-range of the
+// underlying file through a bufio.Reader, or from an inflated payload
+// held in memory through a bytes.Reader.
 type sectionDecoder struct {
-	br *bufio.Reader
-}
-
-func newSectionDecoder(src io.ReaderAt, off, n int64) *sectionDecoder {
-	return &sectionDecoder{br: bufio.NewReader(io.NewSectionReader(src, off, n))}
+	br interface {
+		io.Reader
+		io.ByteReader
+	}
 }
 
 func (d *sectionDecoder) uvarint() (uint64, error) { return binary.ReadUvarint(d.br) }
@@ -92,23 +94,29 @@ func (d *sectionDecoder) string() (string, error) {
 // payload, inflated into dst when its capacity suffices (pass nil for a
 // fresh allocation the caller may retain). The inflater itself comes
 // from the process-wide pool (codec.go) instead of being constructed
-// per frame. maxRaw bounds the claimed raw size so corrupted length
-// fields cannot force huge allocations; maxComp bounds the compressed
-// bytes by the space actually available in the file section.
-func inflateFrame(br *bufio.Reader, dst []byte, maxRaw, maxComp int64, what string) ([]byte, error) {
+// per frame. minRaw and maxRaw bound the claimed raw size, so corrupted
+// length fields cannot force huge allocations or an inflate of a
+// payload too small for what the frame's header declares; maxComp
+// bounds the compressed bytes by the space actually available in the
+// file section. Errors carry no prefix: the caller names the frame, so
+// the hot path formats nothing.
+func inflateFrame(br *bufio.Reader, dst []byte, minRaw, maxRaw, maxComp int64) ([]byte, error) {
 	rawLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", what, err)
+		return nil, err
 	}
 	compLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", what, err)
+		return nil, err
 	}
 	if int64(rawLen) > maxRaw {
-		return nil, fmt.Errorf("trace: %s: unreasonable payload size %d", what, rawLen)
+		return nil, fmt.Errorf("unreasonable payload size %d", rawLen)
+	}
+	if int64(rawLen) < minRaw {
+		return nil, fmt.Errorf("payload size %d below the %d bytes its header requires", rawLen, minRaw)
 	}
 	if int64(compLen) > maxComp {
-		return nil, fmt.Errorf("trace: %s: compressed size %d exceeds section", what, compLen)
+		return nil, fmt.Errorf("compressed size %d exceeds section", compLen)
 	}
 	fr := getInflater(io.LimitReader(br, int64(compLen)))
 	defer putInflater(fr)
@@ -118,10 +126,10 @@ func inflateFrame(br *bufio.Reader, dst []byte, maxRaw, maxComp int64, what stri
 		var buf bytes.Buffer
 		n, err := io.Copy(&buf, io.LimitReader(fr, int64(rawLen)+1))
 		if err != nil {
-			return nil, fmt.Errorf("trace: %s: inflate: %w", what, err)
+			return nil, fmt.Errorf("inflate: %w", err)
 		}
 		if n != int64(rawLen) {
-			return nil, fmt.Errorf("trace: %s: payload is %d bytes, frame declares %d", what, n, rawLen)
+			return nil, fmt.Errorf("payload is %d bytes, frame declares %d", n, rawLen)
 		}
 		return buf.Bytes(), nil
 	}
@@ -130,14 +138,14 @@ func inflateFrame(br *bufio.Reader, dst []byte, maxRaw, maxComp int64, what stri
 	}
 	dst = dst[:rawLen]
 	if _, err := io.ReadFull(fr, dst); err != nil {
-		return nil, fmt.Errorf("trace: %s: inflate: %w", what, err)
+		return nil, fmt.Errorf("inflate: %w", err)
 	}
 	var extra [1]byte
 	if n, err := fr.Read(extra[:]); n != 0 || (err != nil && err != io.EOF) {
 		if n != 0 {
-			return nil, fmt.Errorf("trace: %s: payload exceeds declared %d bytes", what, rawLen)
+			return nil, fmt.Errorf("payload exceeds declared %d bytes", rawLen)
 		}
-		return nil, fmt.Errorf("trace: %s: inflate: %w", what, err)
+		return nil, fmt.Errorf("inflate: %w", err)
 	}
 	return dst, nil
 }
@@ -195,8 +203,9 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 	}
 	r := &Reader{src: src, footerOff: footerOff, size: size}
 
-	// Meta block.
-	d := newSectionDecoder(src, 8, footerOff-8)
+	// Meta block. Its reader is reused for the footer.
+	br := bufio.NewReader(io.NewSectionReader(src, 8, footerOff-8))
+	d := &sectionDecoder{br: br}
 	var err error
 	if r.meta.Pattern, err = d.string(); err != nil {
 		return nil, fmt.Errorf("trace: v2 meta: %w", err)
@@ -223,7 +232,7 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 		return nil, fmt.Errorf("trace: unreasonable proc count %d", r.meta.Procs)
 	}
 
-	if err := r.readFooter(); err != nil {
+	if err := r.readFooter(br); err != nil {
 		return nil, err
 	}
 	r.buildSharedIndex()
@@ -248,23 +257,24 @@ func (r *Reader) buildSharedIndex() {
 				r.shared = make(map[int64]*sharedBlock)
 			}
 			if r.shared[s.off] == nil {
-				r.shared[s.off] = &sharedBlock{refs: counts[s.off]}
+				r.shared[s.off] = &sharedBlock{refs: counts[s.off], left: counts[s.off]}
 			}
 		}
 	}
 }
 
-// readFooter inflates and parses the dictionary and rank index.
-func (r *Reader) readFooter() error {
+// readFooter inflates, through br, and parses the dictionary and rank
+// index.
+func (r *Reader) readFooter(br *bufio.Reader) error {
 	section := r.size - v2TrailerSize - r.footerOff
-	fd := newSectionDecoder(r.src, r.footerOff, section)
+	br.Reset(io.NewSectionReader(r.src, r.footerOff, section))
 	// A corrupted raw-length claim is bounded by DEFLATE's worst-case
 	// expansion of the compressed bytes actually present in the section.
-	payload, err := inflateFrame(fd.br, nil, 1040*section+64, section, "v2 footer")
+	payload, err := inflateFrame(br, nil, 0, 1040*section+64, section)
 	if err != nil {
-		return err
+		return fmt.Errorf("trace: v2 footer: %w", err)
 	}
-	d := &sectionDecoder{br: bufio.NewReader(bytes.NewReader(payload))}
+	d := &sectionDecoder{br: bytes.NewReader(payload)}
 
 	nKeys, err := d.uvarint()
 	if err != nil {
@@ -447,6 +457,7 @@ func readBlockRuns(r *Reader, br *bufio.Reader, off int64, runs []blockRun) ([]b
 	if nRuns == 0 || nRuns > uint64(len(r.ranks)) {
 		return nil, 0, fmt.Errorf("trace: v2 block at %d: %d runs for %d ranks", off, nRuns, len(r.ranks))
 	}
+	runs = slices.Grow(runs, int(nRuns))
 	total := 0
 	for i := 0; i < int(nRuns); i++ {
 		rank, err := binary.ReadUvarint(br)
@@ -466,53 +477,59 @@ func readBlockRuns(r *Reader, br *bufio.Reader, off int64, runs []blockRun) ([]b
 	return runs, total, nil
 }
 
-// loadBlock reads, parses, and inflates the block at off from scratch,
-// returning a freshly allocated run list and payload (retainable — the
-// shared cache hands them to multiple cursors).
-func (r *Reader) loadBlock(off int64) ([]blockRun, []byte, error) {
-	br := bufio.NewReader(io.NewSectionReader(r.src, off, r.footerOff-off))
-	runs, total, err := readBlockRuns(r, br, off, nil)
+// readBlock reads, parses, and inflates the block at off through br,
+// which it re-points at the block's section. The run list is appended
+// to runs and the payload inflated into dst, each reused when capacity
+// allows; pass nil for fresh allocations the caller may retain.
+func (r *Reader) readBlock(br *bufio.Reader, off int64, runs []blockRun, dst []byte) ([]blockRun, []byte, error) {
+	br.Reset(io.NewSectionReader(r.src, off, r.footerOff-off))
+	runs, total, err := readBlockRuns(r, br, off, runs)
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, err := inflateFrame(br, nil,
-		int64(total)*v2MaxPayloadBytesPerEvent+64, r.footerOff-off,
-		fmt.Sprintf("v2 block at %d", off))
+	// Every event takes at least v2MinEventBytes of payload.
+	payload, err := inflateFrame(br, dst, int64(total)*v2MinEventBytes,
+		int64(total)*v2MaxPayloadBytesPerEvent+64, r.footerOff-off)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("trace: v2 block at %d: %w", off, err)
 	}
 	return runs, payload, nil
 }
 
 // sharedBlock caches one multi-rank block's inflated payload and run
-// list across the cursors that reference it. The first cursor to arrive
-// inflates; the rest reuse payload and run list without touching the
-// file. refs counts the expected consumers (one per referencing rank);
-// when the last one has been served the cache empties itself so a
-// drained Reader pins no payload — a second iteration pass simply
-// re-inflates per use.
+// list across the cursors that reference it. The first cursor of a
+// pass to arrive inflates; the rest reuse payload and run list without
+// touching the file. refs is the number of consumers per pass (one per
+// referencing rank) and left how many of them this pass still has to
+// serve. When the last one has been served the cache empties itself, so
+// a drained Reader pins no payload, and re-arms left for the next pass:
+// every full pass over the Reader inflates each shared block once.
 type sharedBlock struct {
 	mu      sync.Mutex
 	refs    int
+	left    int
 	loaded  bool
 	err     error
 	runs    []blockRun
 	payload []byte
 }
 
-// acquire returns the block's payload and run list, inflating on first
-// use. The returned slices are immutable shared state.
-func (sb *sharedBlock) acquire(r *Reader, off int64) ([]byte, []blockRun, error) {
+// acquire returns the block's payload and run list, inflating on the
+// pass's first use through the acquiring cursor's reader br. The
+// returned slices are immutable shared state, freshly allocated per
+// inflate because other cursors may still be decoding an earlier one.
+func (sb *sharedBlock) acquire(r *Reader, off int64, br *bufio.Reader) ([]byte, []blockRun, error) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	if !sb.loaded {
-		sb.runs, sb.payload, sb.err = r.loadBlock(off)
+		sb.runs, sb.payload, sb.err = r.readBlock(br, off, nil, nil)
 		sb.loaded = true
 	}
 	payload, runs, err := sb.payload, sb.runs, sb.err
-	sb.refs--
-	if sb.refs <= 0 {
+	sb.left--
+	if sb.left <= 0 {
 		sb.loaded, sb.runs, sb.payload, sb.err = false, nil, nil, nil
+		sb.left = sb.refs
 	}
 	return payload, runs, err
 }
@@ -543,17 +560,11 @@ func skipRunAt(p []byte, off, count int) (int, error) {
 	return skipNVarintsAt(p, off+count, 8*count)
 }
 
-// growI64 returns s resized to n, reallocating only when needed.
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-// segBuf holds one decoded segment: the column buffers plus the private
-// scratch (section reader, run list, inflate buffer) used to fill them.
-// A cursor owns one; all buffers are reused across loads.
+// segBuf holds one decoded segment: the column buffers plus the
+// scratch (block reader, run list, inflate buffer) used to fill them.
+// A cursor takes one from segBufPool for the life of its stream and
+// returns it at the end (a cursor abandoned earlier leaves it to the
+// garbage collector); all buffers are reused across loads.
 type segBuf struct {
 	n        int
 	kinds    []byte
@@ -571,6 +582,55 @@ type segBuf struct {
 	payload []byte
 }
 
+// segBufPool recycles cursor scratch across cursors and passes, in the
+// manner of codec.go's inflater and buffer pools: a mesh run opens one
+// cursor per rank for the embedding and again for the order hash, and
+// each would otherwise allocate its own columns and 4 KiB block reader.
+var segBufPool sync.Pool
+
+// maxPooledPayload is the largest inflate buffer a pooled segBuf keeps:
+// the payload bound of one full segment.
+const maxPooledPayload = v2SegmentEvents*v2MaxPayloadBytesPerEvent + 64
+
+func getSegBuf() *segBuf {
+	if b, _ := segBufPool.Get().(*segBuf); b != nil {
+		return b
+	}
+	return &segBuf{br: bufio.NewReader(nil)}
+}
+
+// putSegBuf returns b to the pool unless a segment larger than any
+// writer produces grew it: an unusual or hostile archive must not pin
+// large buffers in the pool.
+func putSegBuf(b *segBuf) {
+	if cap(b.kinds) > v2SegmentEvents || cap(b.payload) > maxPooledPayload {
+		return
+	}
+	b.br.Reset(nil)
+	segBufPool.Put(b)
+}
+
+// grow sizes every column to n, reallocating only when needed. A
+// reallocation for a segment the writer can produce rounds the
+// capacity up to a power of two, so a pooled buffer serves the next
+// cursor's segment of similar size as it is; the seven int64 columns
+// share one allocation.
+func (b *segBuf) grow(n int) {
+	if cap(b.kinds) < n {
+		c := max(n, min(1<<bits.Len(uint(n-1)), v2SegmentEvents))
+		b.kinds = make([]byte, c)
+		b.stacks = make([]int32, c)
+		cols := make([]int64, 7*c)
+		for i, col := range []*[]int64{&b.peers, &b.tags, &b.sizes, &b.msgIDs, &b.chanSeqs, &b.times, &b.lamports} {
+			*col = cols[i*c : (i+1)*c : (i+1)*c]
+		}
+	}
+	b.kinds, b.stacks = b.kinds[:n], b.stacks[:n]
+	b.peers, b.tags, b.sizes = b.peers[:n], b.tags[:n], b.sizes[:n]
+	b.msgIDs, b.chanSeqs = b.msgIDs[:n], b.chanSeqs[:n]
+	b.times, b.lamports = b.times[:n], b.lamports[:n]
+}
+
 // load decodes the block at seg into the buffer: rank's run lands in
 // the column slices, sibling runs are varint-skipped. Shared blocks
 // come inflated from the Reader's cache; private blocks are read and
@@ -578,33 +638,15 @@ type segBuf struct {
 func (b *segBuf) load(r *Reader, rank int, seg v2Segment) error {
 	var payload []byte
 	var runs []blockRun
+	var err error
 	if sh := r.shared[seg.off]; sh != nil {
-		var err error
-		payload, runs, err = sh.acquire(r, seg.off)
-		if err != nil {
-			return err
-		}
+		payload, runs, err = sh.acquire(r, seg.off, b.br)
 	} else {
-		sr := io.NewSectionReader(r.src, seg.off, r.footerOff-seg.off)
-		if b.br == nil {
-			b.br = bufio.NewReader(sr)
-		} else {
-			b.br.Reset(sr)
-		}
-		var total int
-		var err error
-		b.runs, total, err = readBlockRuns(r, b.br, seg.off, b.runs[:0])
-		if err != nil {
-			return err
-		}
-		runs = b.runs
-		payload, err = inflateFrame(b.br, b.payload,
-			int64(total)*v2MaxPayloadBytesPerEvent+64, r.footerOff-seg.off,
-			fmt.Sprintf("v2 block at %d", seg.off))
-		if err != nil {
-			return err
-		}
-		b.payload = payload
+		b.runs, b.payload, err = r.readBlock(b.br, seg.off, b.runs[:0], b.payload)
+		payload, runs = b.payload, b.runs
+	}
+	if err != nil {
+		return err
 	}
 
 	myIdx := -1
@@ -625,31 +667,21 @@ func (b *segBuf) load(r *Reader, rank int, seg v2Segment) error {
 	}
 
 	off := 0
-	var err error
 	for i := 0; i < myIdx; i++ {
 		if off, err = skipRunAt(payload, off, runs[i].count); err != nil {
 			return fmt.Errorf("trace: v2 block at %d: skipping rank %d run: %w", seg.off, runs[i].rank, err)
 		}
 	}
 	n := seg.count
-	if cap(b.kinds) < n {
-		b.kinds = make([]byte, n)
-		b.stacks = make([]int32, n)
+	// Every event takes at least v2MinEventBytes of payload, so a run
+	// the payload cannot hold is rejected before any column grows.
+	if off+n*v2MinEventBytes > len(payload) {
+		return fmt.Errorf("trace: v2 segment at %d: %d events need at least %d payload bytes, %d remain: %w",
+			seg.off, n, n*v2MinEventBytes, len(payload)-off, io.ErrUnexpectedEOF)
 	}
-	b.kinds = b.kinds[:n]
-	b.stacks = b.stacks[:n]
-	if off+n > len(payload) {
-		return fmt.Errorf("trace: v2 segment at %d: kinds: %w", seg.off, io.ErrUnexpectedEOF)
-	}
+	b.grow(n)
 	copy(b.kinds, payload[off:off+n])
 	off += n
-	b.peers = growI64(b.peers, n)
-	b.tags = growI64(b.tags, n)
-	b.sizes = growI64(b.sizes, n)
-	b.msgIDs = growI64(b.msgIDs, n)
-	b.chanSeqs = growI64(b.chanSeqs, n)
-	b.times = growI64(b.times, n)
-	b.lamports = growI64(b.lamports, n)
 	for _, col := range []struct {
 		vals  []int64
 		delta bool
@@ -729,17 +761,22 @@ type Cursor struct {
 func (c *Cursor) Err() error { return c.err }
 
 // nextSegment decodes the next segment into the cursor's buffer. It
-// returns false at end-of-stream or on error (recorded in c.err).
+// returns false at end-of-stream or on error (recorded in c.err), and
+// then hands the buffer back to segBufPool: the stream is over, and
+// Next never reads it again.
 func (c *Cursor) nextSegment() bool {
 	segs := c.r.ranks[c.rank].segs
-	if c.segIdx >= len(segs) {
-		return false
+	if c.segIdx < len(segs) {
+		if c.cur == nil {
+			c.cur = getSegBuf()
+		}
+		c.err = c.cur.load(c.r, c.rank, segs[c.segIdx])
 	}
-	if c.cur == nil {
-		c.cur = &segBuf{}
-	}
-	if err := c.cur.load(c.r, c.rank, segs[c.segIdx]); err != nil {
-		c.err = err
+	if c.segIdx >= len(segs) || c.err != nil {
+		if c.cur != nil {
+			putSegBuf(c.cur)
+			c.cur = nil
+		}
 		return false
 	}
 	c.segIdx++
