@@ -25,11 +25,11 @@ func cmdCampaign(args []string) error {
 		fmt.Fprint(fs.Output(), `usage: anacin campaign [flags]
 
 Runs the cross product patterns × procs × iters × nodes × nd, reducing
-each cell to its pairwise kernel-distance summary. Cells execute
-concurrently on -workers workers; each cell's runs use the remaining
-share of the machine, so total parallelism stays near GOMAXPROCS.
-Output ordering is deterministic (cells are sorted), so the same grid
-and seed produce byte-identical CSV at any worker count.
+each cell to its pairwise kernel-distance summary. Every run of every
+cell goes through one queue, cell by cell, with -workers runs in
+flight, so no core idles while the last cell finishes. Output ordering
+is deterministic (cells are sorted), so the same grid and seed produce
+byte-identical CSV at any worker count.
 
 Press Ctrl-C (or exceed -timeout) to cancel: in-flight simulations
 abort, the cells that completed are rendered with a PARTIAL RESULTS
@@ -51,7 +51,7 @@ flags:
 	seed := fs.Int64("seed", campaign.DefaultBaseSeed, "base seed (0 is a valid seed, not a default request)")
 	kernSpec := fs.String("kernel", "wl2", "graph kernel: "+core.KernelSpecs())
 	csvPath := fs.String("csv", "", "also write the cells as CSV to this path")
-	workers := fs.Int("workers", 0, "concurrent cells (0 = one per core, capped at the cell count)")
+	workers := fs.Int("workers", 0, "concurrent runs (0 = one per core)")
 	archive := fs.String("archive", "", "archive every run's v2 trace under this directory\n(<dir>/<cell-fingerprint>/run-<i>.anctr, replayable with 'anacin replay')")
 	stream := fs.Bool("stream", false, "run cells through the streaming pipeline (flat per-cell memory;\nimplied by -archive)")
 	compressLevel := fs.Int("compress-level", 0, "DEFLATE level for archived traces (-2..9; 0 = format default,\nBestSpeed). Changes archived bytes; applies with -archive/-stream")

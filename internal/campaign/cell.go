@@ -7,6 +7,7 @@ import (
 
 	"github.com/anacin-go/anacinx/internal/core"
 	"github.com/anacin-go/anacinx/internal/kernel"
+	"github.com/anacin-go/anacinx/internal/par"
 	"github.com/anacin-go/anacinx/internal/trace"
 )
 
@@ -89,42 +90,13 @@ func (g *Grid) CellFingerprint(spec CellSpec) kernel.Fingerprint {
 
 // RunCell executes one grid cell of g and reduces it to its summary.
 // Failures are recorded in Cell.Err, not returned: a cell is an
-// independent measurement and its caller (the Runner's pool, or a
-// serving layer's store) decides what a failure means for the whole.
-// runWorkers caps the cell's run concurrency (<=0 means one worker per
-// core); batch layers that already parallelize across cells pass their
-// per-cell budget.
+// independent measurement and its caller (a serving layer's store, or
+// a benchmark) decides what a failure means for the whole. runWorkers
+// caps the cell's run concurrency (<=0 means one worker per core). The
+// Runner does not call it: it interleaves every cell's runs on one
+// queue, through the same per-cell run state.
 func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
-	q := g.withDefaults()
-	cell, e := cellExperiment(&q, spec, runWorkers)
-	rs, err := e.ExecuteContext(ctx)
-	if err != nil {
-		cell.Err = err
-		return cell
-	}
-	// DistanceSummary routes through the run set's embedding cache, so
-	// a future per-cell root-source pass would reuse these embeddings.
-	cell.Summary = rs.DistanceSummary(q.Kernel)
-	cell.DistinctStructures = rs.DistinctStructures()
-	return cell
-}
-
-// cellExperiment returns the result row of spec, still without a
-// measurement, and the experiment that measures it under the defaulted
-// grid q (see Grid.withDefaults).
-func cellExperiment(q *Grid, spec CellSpec, runWorkers int) (Cell, core.Experiment) {
-	cell := Cell{
-		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
-		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
-	}
-	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
-	e.Iterations = spec.Iterations
-	e.Nodes = spec.Nodes
-	e.Runs = q.Runs
-	e.BaseSeed = q.BaseSeed
-	e.CaptureStacks = q.CaptureStacks
-	e.Workers = runWorkers
-	return cell, e
+	return runCell(ctx, g, spec, runWorkers, false, "", trace.CodecOptions{})
 }
 
 // RunCellStream is RunCell through the streaming pipeline: every run
@@ -139,21 +111,90 @@ func cellExperiment(q *Grid, spec CellSpec, runWorkers int) (Cell, core.Experime
 // codec tunes archived-trace compression; only its Level applies
 // (zero = format default), and runs compress inline.
 func RunCellStream(ctx context.Context, g Grid, spec CellSpec, runWorkers int, archiveDir string, codec trace.CodecOptions) Cell {
+	return runCell(ctx, g, spec, runWorkers, true, archiveDir, codec)
+}
+
+// runCell runs every run of one cell on runWorkers goroutines.
+func runCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int, stream bool, archiveDir string, codec trace.CodecOptions) Cell {
 	q := g.withDefaults()
-	cell, e := cellExperiment(&q, spec, runWorkers)
-	e.Codec = codec
-	dir := ""
-	if archiveDir != "" {
-		dir = filepath.Join(archiveDir, g.CellFingerprint(spec).String())
+	c := startCell(ctx, &q, spec, stream, archiveDir, codec)
+	par.ForEach(runWorkers, q.Runs, c.run)
+	return c.finish()
+}
+
+// cellRun is one cell's run state: its result row, still without a
+// measurement, and the sample that measures it. A cell that could not
+// start (an unknown pattern, say) has no sample and carries the error.
+type cellRun struct {
+	cell   Cell
+	sample *core.Sample
+	reduce func(*Cell)
+}
+
+// startCell starts the cell spec of the defaulted grid q (see
+// Grid.withDefaults). With stream set, its runs go through the
+// streaming pipeline, archived under the cell's fingerprint in
+// archiveDir when that is non-empty.
+func startCell(ctx context.Context, q *Grid, spec CellSpec, stream bool, archiveDir string, codec trace.CodecOptions) *cellRun {
+	c := &cellRun{cell: Cell{
+		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
+		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
+	}}
+	e := core.DefaultExperiment(spec.Pattern, spec.Procs, spec.NDPercent)
+	e.Iterations = spec.Iterations
+	e.Nodes = spec.Nodes
+	e.Runs = q.Runs
+	e.BaseSeed = q.BaseSeed
+	e.CaptureStacks = q.CaptureStacks
+	k := q.Kernel
+	var err error
+	if stream {
+		e.Codec = codec
+		dir := ""
+		if archiveDir != "" {
+			dir = filepath.Join(archiveDir, q.CellFingerprint(spec).String())
+		}
+		var srs *core.StreamRunSet
+		c.sample, srs, err = e.StartStream(ctx, k, dir)
+		c.reduce = func(cell *Cell) {
+			cell.Summary = srs.DistanceSummary()
+			cell.DistinctStructures = srs.DistinctStructures()
+		}
+	} else {
+		var rs *core.RunSet
+		c.sample, rs, err = e.Start(ctx)
+		c.reduce = func(cell *Cell) {
+			// DistanceSummary routes through the run set's embedding
+			// cache, so a future per-cell root-source pass would reuse
+			// these embeddings.
+			cell.Summary = rs.DistanceSummary(k)
+			cell.DistinctStructures = rs.DistinctStructures()
+		}
 	}
-	srs, err := e.ExecuteStreamContext(ctx, q.Kernel, dir)
-	if err != nil {
-		cell.Err = err
-		return cell
+	c.cell.Err = err
+	return c
+}
+
+// run executes run i of the cell; a cell that could not start has
+// nothing to run.
+func (c *cellRun) run(i int) {
+	if c.sample != nil {
+		c.sample.Run(i)
 	}
-	cell.Summary = srs.DistanceSummary()
-	cell.DistinctStructures = srs.DistinctStructures()
-	return cell
+}
+
+// finish ends the cell once every run has returned: it reduces the
+// runs to the cell's summary, or records why they failed, and releases
+// the sample's scratch space.
+func (c *cellRun) finish() Cell {
+	if c.sample != nil {
+		if err := c.sample.Finish(); err != nil {
+			c.cell.Err = err
+		} else {
+			c.reduce(&c.cell)
+		}
+	}
+	return c.cell
 }
 
 // SortCells orders cells by their deterministic key — the order Run

@@ -2,9 +2,10 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/anacin-go/anacinx/internal/par"
@@ -24,8 +25,8 @@ type Progress struct {
 	TotalRuns, DoneRuns int
 	// Cell is the just-completed cell, including its summary (or error).
 	Cell Cell
-	// CellWall is the wall-clock time the cell took, including its
-	// kernel-distance reduction.
+	// CellWall is the wall-clock time from the dispatch of the cell's
+	// first run to the end of its kernel-distance reduction.
 	CellWall time.Duration
 	// Elapsed is the wall-clock time since the campaign started.
 	Elapsed time.Duration
@@ -34,26 +35,30 @@ type Progress struct {
 	ETA time.Duration
 }
 
-// Runner executes campaign grids on a worker pool. The zero value is
-// ready to use: cells run on up to GOMAXPROCS workers and each cell's
-// runs get the remaining share of the machine, so the two levels of
-// parallelism multiply out to roughly GOMAXPROCS goroutines instead of
-// cells × runs.
+// Runner executes campaign grids. The zero value is ready to use.
+//
+// Every (cell, run) pair of the grid is one item of a single queue,
+// dispatched in cell-major order (all runs of cell 0, then cell 1, …)
+// to Workers goroutines. A cell starts when its first run is
+// dispatched; the run that completes a cell's countdown reduces the
+// cell, releases its run state and reports it to Progress. So no core
+// idles while the grid's last cell runs, and only about Workers cells
+// hold run state at a time. Each cell's runs share a context of their
+// own: a failed run cancels its cell's remaining runs, never another
+// cell's.
 //
 // Cell results depend only on the cell's configuration (the simulator
-// is deterministic in its seed), and the result slice is keyed and
-// sorted, so a Runner produces byte-identical CSV and markdown output
-// for every worker count — including Workers = 1, the sequential path.
+// is deterministic in its seed), each run writes its own slot, and the
+// result slice is sorted, so a Runner produces byte-identical CSV and
+// markdown output for every worker count — including Workers = 1, the
+// sequential path.
 type Runner struct {
-	// Workers is the number of cells in flight at once.
-	// 0 = min(GOMAXPROCS, number of cells).
+	// Workers is the number of runs in flight at once
+	// (0 = GOMAXPROCS).
 	Workers int
-	// RunWorkers caps the per-cell run concurrency. 0 budgets the
-	// machine across cell workers (CoreBudget).
-	RunWorkers int
 	// Progress, when non-nil, observes every completed cell.
 	Progress func(Progress)
-	// Stream routes cells through the streaming pipeline (RunCellStream):
+	// Stream routes cells through the streaming pipeline (as RunCellStream):
 	// runs simulate straight into v2 trace files and are embedded by
 	// streaming them back, holding per-cell memory flat in run length.
 	// Cell results are byte-identical to the materializing path.
@@ -67,96 +72,102 @@ type Runner struct {
 	Codec trace.CodecOptions
 }
 
-// CoreBudget splits the machine between the two levels of a grid run:
-// at most cellWorkers cells in flight (<= 0 means GOMAXPROCS), capped
-// at the cell count, and max(1, GOMAXPROCS / cells in flight) runs per
-// cell, so the levels multiply out to roughly GOMAXPROCS goroutines
-// instead of cells × runs. The Runner and anacind's jobs both use it.
-func CoreBudget(cellWorkers, cells int) (cellsInFlight, runWorkers int) {
-	procs := runtime.GOMAXPROCS(0)
-	if cellWorkers < 1 {
-		cellWorkers = procs
-	}
-	cellsInFlight = max(1, min(cellWorkers, cells))
-	return cellsInFlight, max(1, procs/cellsInFlight)
+// runStateHook, when non-nil, observes every change in the number of
+// cells that hold run state: +1 when a cell's first run starts it, -1
+// when its last run releases it. Tests use it to pin cell-major
+// dispatch and the release.
+var runStateHook func(delta int)
+
+// gridCell is one cell's slot in the Runner's queue.
+type gridCell struct {
+	once  sync.Once    // starts the cell at its first dispatched run
+	left  atomic.Int64 // runs not yet returned
+	start time.Time
+	run   *cellRun // nil when the grid was cancelled before the cell started
 }
 
 // Run executes every cell of the grid and returns the cells sorted by
 // (pattern, procs, iterations, nodes, nd). Per-cell failures are
 // recorded in Cell.Err and do not stop the campaign; cancelling ctx
-// does, aborting in-flight cells and returning an error satisfying
+// does, aborting in-flight runs and returning an error satisfying
 // errors.Is(err, ctx.Err()) — together with a partial Result holding
-// the cells that completed before cancellation, so callers can report
-// how far a truncated campaign got instead of discarding it.
+// the cells that completed before cancellation (every run finished, or
+// the cell failed on its own), so callers can report how far a
+// truncated campaign got instead of discarding it.
 func (r *Runner) Run(ctx context.Context, g Grid) (*Result, error) {
 	q := g.withDefaults()
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	cells := q.CellSpecs()
-	workers, runWorkers := CoreBudget(r.Workers, len(cells))
-	if r.RunWorkers > 0 {
-		runWorkers = r.RunWorkers
+	specs := q.CellSpecs()
+	runs := q.Runs
+	stream := r.Stream || r.ArchiveDir != ""
+	cells := make([]gridCell, len(specs))
+	for c := range cells {
+		cells[c].left.Store(int64(runs))
 	}
 
-	res := &Result{KernelName: q.Kernel.Name(), Cells: make([]Cell, len(cells))}
+	res := &Result{KernelName: q.Kernel.Name(), Cells: make([]Cell, 0, len(specs))}
 	start := time.Now()
-	var (
-		mu       sync.Mutex // guards the progress counters and callback
-		done     int
-		doneRuns int
-	)
-	par.ForEach(workers, len(cells), func(idx int) {
-		if ctx.Err() != nil {
+	var mu sync.Mutex // guards res.Cells and the progress callback
+	par.ForEach(r.Workers, len(specs)*runs, func(item int) {
+		gc := &cells[item/runs]
+		gc.once.Do(func() {
+			if ctx.Err() != nil {
+				return // a cancelled grid starts no more cells
+			}
+			gc.start = time.Now()
+			gc.run = startCell(ctx, &q, specs[item/runs], stream, r.ArchiveDir, r.Codec)
+			if runStateHook != nil {
+				runStateHook(1)
+			}
+		})
+		if gc.run != nil {
+			gc.run.run(item % runs)
+		}
+		if gc.left.Add(-1) > 0 || gc.run == nil {
 			return
 		}
-		cellStart := time.Now()
-		if r.Stream || r.ArchiveDir != "" {
-			res.Cells[idx] = RunCellStream(ctx, q, cells[idx], runWorkers, r.ArchiveDir, r.Codec)
-		} else {
-			res.Cells[idx] = RunCell(ctx, q, cells[idx], runWorkers)
+		// This run completed the cell's countdown: reduce the cell and
+		// drop its run state before reporting it.
+		cell := gc.run.finish()
+		gc.run = nil
+		if runStateHook != nil {
+			runStateHook(-1)
 		}
-		r.report(&mu, res.Cells[idx], time.Since(cellStart), start, len(cells), q.Runs, &done, &doneRuns)
+		if err := ctx.Err(); err != nil && errors.Is(cell.Err, err) {
+			return // cut short by the grid's cancellation: not a result
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		res.Cells = append(res.Cells, cell)
+		r.report(cell, time.Since(gc.start), start, len(specs), runs, len(res.Cells))
 	})
-	if err := ctx.Err(); err != nil {
-		// Keep only the cells that actually ran (skipped dispatches leave
-		// zero-valued cells), sorted like a complete result, so the
-		// partial grid is directly renderable.
-		kept := res.Cells[:0]
-		for _, c := range res.Cells {
-			if c.Pattern != "" {
-				kept = append(kept, c)
-			}
-		}
-		res.Cells = kept
-		SortCells(res.Cells)
-		return res, fmt.Errorf("campaign: cancelled after %d/%d cells: %w", len(res.Cells), len(cells), err)
-	}
 	SortCells(res.Cells)
+	if err := ctx.Err(); err != nil {
+		// The partial grid is sorted like a complete result, so it is
+		// directly renderable.
+		return res, fmt.Errorf("campaign: cancelled after %d/%d cells: %w", len(res.Cells), len(specs), err)
+	}
 	return res, nil
 }
 
-// report updates the shared progress counters and invokes the callback
-// under the mutex, serializing observations.
-func (r *Runner) report(mu *sync.Mutex, cell Cell, cellWall time.Duration, start time.Time, totalCells, runsPerCell int, done, doneRuns *int) {
-	mu.Lock()
-	defer mu.Unlock()
-	*done++
-	*doneRuns += runsPerCell
+// report invokes the progress callback for the done-th completed cell.
+// The caller holds the Runner's mutex, which serializes observations.
+func (r *Runner) report(cell Cell, cellWall time.Duration, start time.Time, totalCells, runsPerCell, done int) {
 	if r.Progress == nil {
 		return
 	}
 	elapsed := time.Since(start)
-	eta := etaFrom(elapsed, *done, totalCells-*done)
 	r.Progress(Progress{
 		TotalCells: totalCells,
-		DoneCells:  *done,
+		DoneCells:  done,
 		TotalRuns:  totalCells * runsPerCell,
-		DoneRuns:   *doneRuns,
+		DoneRuns:   done * runsPerCell,
 		Cell:       cell,
 		CellWall:   cellWall,
 		Elapsed:    elapsed,
-		ETA:        eta,
+		ETA:        etaFrom(elapsed, done, totalCells-done),
 	})
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -48,36 +49,71 @@ func TestRunCellStreamMatchesRunCell(t *testing.T) {
 
 // TestRunnerStreamMatchesDefault pins that Runner{Stream: true}
 // produces a Result deep-equal to the default materializing Runner —
-// the switch is purely an execution strategy.
+// the switch is purely an execution strategy — with byte-identical CSV
+// and markdown at every worker count. ArchiveDir alone implies
+// streaming, lays out one directory per cell fingerprint, and archives
+// the bytes RunCellStream archives.
 func TestRunnerStreamMatchesDefault(t *testing.T) {
-	g := smallGrid()
-	want, err := (&Runner{}).Run(context.Background(), g)
+	g, err := smallGrid().Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&Runner{Stream: true}).Run(context.Background(), g)
+	want, err := (&Runner{Workers: 1}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("streamed result differs from materializing result")
+	wantOut := render(t, want)
+	ref := t.TempDir()
+	for _, spec := range g.CellSpecs() {
+		RunCellStream(context.Background(), g, spec, 1, ref, trace.CodecOptions{})
 	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		dir := t.TempDir()
+		for name, r := range map[string]*Runner{
+			"default": {Workers: workers},
+			"stream":  {Workers: workers, Stream: true},
+			"archive": {Workers: workers, ArchiveDir: dir},
+		} {
+			got, err := r.Run(context.Background(), g)
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d %s: result differs from the sequential materializing result", workers, name)
+			}
+			if out := render(t, got); out != wantOut {
+				t.Errorf("workers=%d %s: output differs from sequential:\n%s\nvs\n%s", workers, name, out, wantOut)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantCells := g.Cells(); len(entries) != wantCells {
+			t.Errorf("workers=%d: archive has %d cell dirs, want %d", workers, len(entries), wantCells)
+		}
+		for _, spec := range g.CellSpecs() {
+			for i := 0; i < g.Runs; i++ {
+				name := filepath.Join(g.CellFingerprint(spec).String(), fmt.Sprintf("run-%d.anctr", i))
+				a, errA := os.ReadFile(filepath.Join(ref, name))
+				b, errB := os.ReadFile(filepath.Join(dir, name))
+				if errA != nil || errB != nil || !bytes.Equal(a, b) {
+					t.Errorf("workers=%d: archived %s differs from RunCellStream's (%v, %v)", workers, name, errA, errB)
+				}
+			}
+		}
+	}
+}
 
-	// ArchiveDir alone implies streaming and lays out one directory per
-	// cell fingerprint.
-	dir := t.TempDir()
-	archived, err := (&Runner{ArchiveDir: dir}).Run(context.Background(), g)
-	if err != nil {
+// render returns r's CSV followed by its markdown.
+func render(t *testing.T, r *Result) string {
+	t.Helper()
+	var cb, mb bytes.Buffer
+	if err := r.WriteCSV(&cb); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(archived, want) {
-		t.Errorf("archived result differs from materializing result")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := r.WriteMarkdown(&mb); err != nil {
 		t.Fatal(err)
 	}
-	if wantCells := g.Cells(); len(entries) != wantCells {
-		t.Errorf("archive has %d cell dirs, want %d", len(entries), wantCells)
-	}
+	return cb.String() + mb.String()
 }

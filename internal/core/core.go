@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/graph"
@@ -51,10 +52,10 @@ type Experiment struct {
 	// CaptureStacks records callstacks on every event; required for
 	// root-source analysis, skippable for pure distance measurements.
 	CaptureStacks bool
-	// Workers caps how many runs execute concurrently (0 = GOMAXPROCS).
-	// Batch layers that already parallelize across experiments (the
-	// campaign runner) lower it so the two levels multiply out to
-	// roughly GOMAXPROCS total goroutines instead of oversubscribing.
+	// Workers caps how many runs ExecuteContext and
+	// ExecuteStreamContext execute at once (0 = GOMAXPROCS). Batch
+	// layers that schedule runs themselves, like the campaign Runner's
+	// grid queue, drive a Sample instead and do not use it.
 	Workers int
 	// Net optionally overrides the network model (zero = sim.DefaultNet).
 	Net sim.NetModel
@@ -63,8 +64,8 @@ type Experiment struct {
 	// Codec tunes archived-trace compression on the streaming path;
 	// ignored unless the experiment streams to an archive. Only Level
 	// applies (zero is the v2 format default): each run compresses
-	// inline on its run-pool goroutine, since the pool already spreads
-	// runs over the cores, so Workers is not used.
+	// inline on the goroutine that runs it, since the runs are already
+	// spread over the cores, so Workers is not used.
 	Codec trace.CodecOptions
 }
 
@@ -176,7 +177,7 @@ func (e Experiment) Execute() (*RunSet, error) {
 	return e.ExecuteContext(context.Background())
 }
 
-// executeRunHook, when non-nil, observes every run index the run pool
+// executeRunHook, when non-nil, observes every run index a Sample
 // actually starts. Tests use it to assert that a failing run
 // short-circuits the remaining dispatches.
 var executeRunHook func(runIndex int)
@@ -188,9 +189,26 @@ var executeRunHook func(runIndex int)
 // lost a member is going to be discarded, so finishing it is waste —
 // and the first recorded failure is returned.
 func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
-	pat, program, err := e.program()
+	s, rs, err := e.Start(ctx)
 	if err != nil {
 		return nil, err
+	}
+	par.ForEach(e.Workers, e.Runs, s.Run)
+	if err := s.Finish(); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// Start resolves the experiment for execution and returns its Sample
+// together with the run set that the sample's runs fill: run i
+// simulates with seed BaseSeed+i and builds its event graph into slot
+// i. ExecuteContext is Start, every run on e.Workers goroutines, and
+// Finish.
+func (e Experiment) Start(ctx context.Context) (*Sample, *RunSet, error) {
+	pat, program, err := e.program()
+	if err != nil {
+		return nil, nil, err
 	}
 	meta := trace.Meta{Pattern: e.Pattern, Iterations: e.Iterations, MsgSize: e.MsgSize}
 	rs := &RunSet{
@@ -199,7 +217,7 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 		Graphs:     make([]*graph.Graph, e.Runs),
 		Stats:      make([]*sim.Stats, e.Runs),
 	}
-	err = forEachRun(ctx, e.Workers, e.Runs, func(ctx context.Context, i int) error {
+	s := newSample(ctx, func(ctx context.Context, i int) error {
 		tr, stats, err := sim.RunContext(ctx, e.config(i, pat), meta, program)
 		if err != nil {
 			return err
@@ -210,11 +228,8 @@ func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
 		}
 		rs.Traces[i], rs.Graphs[i], rs.Stats[i] = tr, g, stats
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rs, nil
+	}, nil)
+	return s, rs, nil
 }
 
 // program resolves the experiment's pattern and builds its simulator
@@ -234,41 +249,82 @@ func (e *Experiment) program() (patterns.Pattern, sim.Program, error) {
 	return pat, sim.Adapt(program), nil
 }
 
-// forEachRun runs fn for run indices [0, runs) on up to workers
-// goroutines (<= 0 means GOMAXPROCS), each under a context that the
-// first failure cancels. That failure is returned as "core: run i: …";
+// Sample is one experiment's sample in execution. Run(i) executes run i
+// and writes its result to slot i of the sample's run set, so runs may
+// execute in any order, on any goroutines, and interleaved with other
+// samples' runs: ExecuteContext and ExecuteStreamContext drive one
+// Sample from a run pool, and the campaign Runner drives every cell's
+// Sample from one grid-wide queue. A run therefore has one
+// implementation, whoever schedules it.
+//
+// Runs execute under a context derived from the one the sample was
+// started with. The first failing run cancels it, so a failure aborts
+// the sample's in-flight runs and skips the rest, and never reaches
+// another sample.
+type Sample struct {
+	parent  context.Context
+	ctx     context.Context
+	cancel  context.CancelFunc
+	run     func(ctx context.Context, i int) error
+	cleanup func()
+
+	errOnce sync.Once
+	err     error       // the first failure
+	cut     atomic.Bool // some run was skipped or cancelled
+}
+
+// newSample returns a sample whose runs call run. cleanup, when
+// non-nil, runs in Finish.
+func newSample(ctx context.Context, run func(ctx context.Context, i int) error, cleanup func()) *Sample {
+	s := &Sample{parent: ctx, run: run, cleanup: cleanup}
+	s.ctx, s.cancel = context.WithCancel(ctx)
+	return s
+}
+
+// Run executes run i, unless an earlier run failed or the context
+// ended, in which case run i is skipped without starting. It is safe
+// for concurrent use. A failure is recorded as "core: run i: …";
 // cancellation fallout from sibling runs is not a failure of its own
 // run, and recording it would mask the root cause behind "run N:
-// cancelled". Once that context ends, the remaining runs are skipped
-// without starting, and if ctx itself ended the error wraps ctx.Err().
-func forEachRun(ctx context.Context, workers, runs int, fn func(ctx context.Context, i int) error) error {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	par.ForEach(workers, runs, func(i int) {
-		if runCtx.Err() != nil {
-			return
-		}
-		if executeRunHook != nil {
-			executeRunHook(i)
-		}
-		err := fn(runCtx, i)
-		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return
-		}
-		errOnce.Do(func() {
-			firstErr = fmt.Errorf("core: run %d: %w", i, err)
-			cancel()
-		})
-	})
-	if firstErr != nil {
-		return firstErr
+// cancelled".
+func (s *Sample) Run(i int) {
+	if s.ctx.Err() != nil {
+		s.cut.Store(true)
+		return
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: experiment cancelled: %w", err)
+	if executeRunHook != nil {
+		executeRunHook(i)
+	}
+	err := s.run(s.ctx, i)
+	if err == nil {
+		return
+	}
+	if s.ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		s.cut.Store(true)
+		return
+	}
+	s.errOnce.Do(func() {
+		s.err = fmt.Errorf("core: run %d: %w", i, err)
+		s.cancel()
+	})
+}
+
+// Finish ends the sample once every Run call has returned. It releases
+// the sample's context and scratch space and reports the outcome: nil
+// when every run completed, the first failure, or, when the context
+// ended before every run completed, an error wrapping ctx.Err().
+func (s *Sample) Finish() error {
+	s.cancel()
+	if s.cleanup != nil {
+		s.cleanup()
+	}
+	if s.err != nil {
+		return s.err
+	}
+	if s.cut.Load() {
+		// Runs are cut short only once the context ends, and without a
+		// failure of its own only the parent can have ended it.
+		return fmt.Errorf("core: experiment cancelled: %w", s.parent.Err())
 	}
 	return nil
 }

@@ -121,6 +121,36 @@ func TestExecuteShortCircuitsOnFailure(t *testing.T) {
 	}
 }
 
+// TestSampleRunsInAnyOrder drives a Sample the way a grid queue does:
+// runs in an order of the caller's choosing, then Finish. The run set
+// must equal Execute's, and a sample whose every run completed is a
+// result even if its context ends before Finish.
+func TestSampleRunsInAnyOrder(t *testing.T) {
+	e := DefaultExperiment("unstructured_mesh", 8, 100)
+	e.Runs = 5
+	want, err := e.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s, rs, err := e.Start(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{3, 0, 4, 2, 1} {
+		s.Run(i)
+	}
+	cancel()
+	if err := s.Finish(); err != nil {
+		t.Fatalf("completed sample: Finish = %v", err)
+	}
+	for i := range want.Traces {
+		if rs.Traces[i].Hash() != want.Traces[i].Hash() {
+			t.Errorf("run %d differs from Execute's", i)
+		}
+	}
+}
+
 func TestExecuteContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -8,6 +8,7 @@ import (
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/kernel"
+	"github.com/anacin-go/anacinx/internal/par"
 	"github.com/anacin-go/anacinx/internal/patterns"
 	"github.com/anacin-go/anacinx/internal/sim"
 	"github.com/anacin-go/anacinx/internal/trace"
@@ -48,25 +49,43 @@ type StreamRunSet struct {
 // otherwise traces live in a scratch directory that is removed before
 // returning. Cancellation and failure semantics match ExecuteContext.
 func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, archiveDir string) (*StreamRunSet, error) {
+	s, srs, err := e.StartStream(ctx, k, archiveDir)
+	if err != nil {
+		return nil, err
+	}
+	par.ForEach(e.Workers, e.Runs, s.Run)
+	if err := s.Finish(); err != nil {
+		return nil, err
+	}
+	return srs, nil
+}
+
+// StartStream is Start on the streaming pipeline: the sample's run i
+// simulates into a v2 trace file and is embedded under k (nil = WL
+// depth 2) by streaming the file back, filling slot i of the returned
+// StreamRunSet. The archive directory is created here, or, without
+// one, a scratch directory that Finish removes.
+func (e Experiment) StartStream(ctx context.Context, k kernel.Kernel, archiveDir string) (*Sample, *StreamRunSet, error) {
 	if k == nil {
 		k = kernel.NewWL(2)
 	}
 	pat, program, err := e.program()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	dir := archiveDir
 	archived := dir != ""
+	var cleanup func()
 	if archived {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: archive dir: %w", err)
+			return nil, nil, fmt.Errorf("core: archive dir: %w", err)
 		}
 	} else {
 		if dir, err = os.MkdirTemp("", "anacin-stream-*"); err != nil {
-			return nil, fmt.Errorf("core: scratch dir: %w", err)
+			return nil, nil, fmt.Errorf("core: scratch dir: %w", err)
 		}
-		defer os.RemoveAll(dir)
+		cleanup = func() { os.RemoveAll(dir) }
 	}
 
 	srs := &StreamRunSet{
@@ -80,7 +99,7 @@ func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, a
 		srs.TracePaths = make([]string, e.Runs)
 	}
 
-	err = forEachRun(ctx, e.Workers, e.Runs, func(ctx context.Context, i int) error {
+	s := newSample(ctx, func(ctx context.Context, i int) error {
 		path := filepath.Join(dir, fmt.Sprintf("run-%d.anctr", i))
 		stats, err := e.streamRun(ctx, i, pat, program, path)
 		if err != nil {
@@ -97,17 +116,15 @@ func (e Experiment) ExecuteStreamContext(ctx context.Context, k kernel.Kernel, a
 		}
 		srs.Features[i], srs.OrderHashes[i], srs.Stats[i] = fv, oh, stats
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return srs, nil
+	}, cleanup)
+	return s, srs, nil
 }
 
 // streamRun simulates run i with its events streaming into a v2 trace
-// file at path. It compresses inline on the calling run-pool goroutine
-// (only Codec.Level is passed on), so the pool is the one level of
-// parallelism and a failed run leaves no codec goroutine behind.
+// file at path. It compresses inline on the goroutine that runs it
+// (only Codec.Level is passed on), so whatever schedules the runs is
+// the one level of parallelism and a failed run leaves no codec
+// goroutine behind.
 func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string) (*sim.Stats, error) {
 	f, err := os.Create(path)
 	if err != nil {

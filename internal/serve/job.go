@@ -338,7 +338,7 @@ func (j *Job) run(ctx context.Context, r *Registry) {
 	j.mu.Unlock()
 	j.log.Append("job", view)
 
-	workers, runWorkers := campaign.CoreBudget(r.cellWorkers, len(j.specs))
+	workers, runWorkers := coreBudget(r.cellWorkers, len(j.specs))
 	par.ForEach(workers, len(j.specs), func(idx int) {
 		if ctx.Err() == nil {
 			j.runCell(ctx, r, idx, runWorkers)
@@ -375,6 +375,21 @@ func (j *Job) run(ctx context.Context, r *Registry) {
 	view = j.viewLocked()
 	j.mu.Unlock()
 	j.log.Append("done", view)
+}
+
+// coreBudget splits the machine between a job's two levels: at most
+// cellWorkers cells in flight (<= 0 means GOMAXPROCS), capped at the
+// cell count, and max(1, GOMAXPROCS / cells in flight) runs per cell,
+// so the levels multiply out to roughly GOMAXPROCS goroutines instead
+// of cells × runs. A job keeps whole cells as its unit of work because
+// the store deduplicates whole cells across jobs.
+func coreBudget(cellWorkers, cells int) (cellsInFlight, runWorkers int) {
+	procs := runtime.GOMAXPROCS(0)
+	if cellWorkers < 1 {
+		cellWorkers = procs
+	}
+	cellsInFlight = max(1, min(cellWorkers, cells))
+	return cellsInFlight, max(1, procs/cellsInFlight)
 }
 
 // runCell resolves one cell through the store and records it.
