@@ -12,7 +12,7 @@ import (
 func TestCmdBenchList(t *testing.T) {
 	out := captureStdout(t, func() error { return cmdBench([]string{"-list"}) })
 	for _, want := range []string{"sim/32rank-stacks", "sim/32rank-nostacks", "trace-to-graph/32rank",
-		"wl-features/h2/r32", "dot/wl-h2", "gram/w1", "gram/w8",
+		"wl-features/h2/r32", "dot/wl-h2", "gram/w1",
 		"slice-profile/32rank", "figure/fig2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("bench -list output missing %q:\n%s", want, out)
@@ -38,8 +38,8 @@ func TestCmdBenchWritesReportAndGates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("written BENCH.json is invalid: %v", err)
 	}
-	if len(report.Scenarios) != 19 {
-		t.Fatalf("quick report has %d scenarios, want 19", len(report.Scenarios))
+	if len(report.Scenarios) != 17 {
+		t.Fatalf("quick report has %d scenarios, want 17", len(report.Scenarios))
 	}
 	for _, res := range report.Scenarios {
 		if res.MedianNs <= 0 {

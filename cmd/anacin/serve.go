@@ -51,7 +51,7 @@ flags:
 	}
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	cellWorkers := fs.Int("workers", 0, "concurrent cells per job (0 = one per core)")
-	simWorkers := fs.Int("simworkers", 0, "total concurrent simulations across jobs (0 = one per core)")
+	simWorkers := fs.Int("simworkers", 0, "concurrent cell computations across jobs, each running up to cores/cells-in-flight simulations (0 = one per core)")
 	maxCells := fs.Int("maxcells", serve.DefaultMaxCells, "reject grids with more cells")
 	maxRuns := fs.Int("maxruns", serve.DefaultMaxRuns, "reject grids with more runs per cell")
 	grace := fs.Duration("grace", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM")

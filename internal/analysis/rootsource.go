@@ -68,14 +68,13 @@ func NewSliceProfileCached(k kernel.Kernel, graphs []*graph.Graph, slices int, c
 		MaxDistance:  make([]float64, slices),
 	}
 	par.ForEach(0, slices, func(s int) {
-		col := make([]*graph.Graph, len(graphs))
-		for i := range graphs {
-			col[i] = sliced[i][s]
-		}
 		// One worker per slice column already saturates the cores, so
-		// each Gram build runs single-threaded (nested parallelism
-		// would only add scheduling overhead on these small graphs).
-		dists := cache.NewMatrixWorkers(k, col, 1).PairwiseDistances()
+		// each column embeds serially: one level of parallelism.
+		feats := make([]kernel.FeatureVector, len(graphs))
+		for i := range graphs {
+			feats[i] = cache.Features(k, sliced[i][s])
+		}
+		dists := kernel.MatrixFromFeatures(k.Name(), feats).PairwiseDistances()
 		sum, max := 0.0, 0.0
 		for _, d := range dists {
 			sum += d

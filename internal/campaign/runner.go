@@ -66,9 +66,9 @@ type Runner struct {
 	// ArchiveDir, when non-empty, archives every run's v2 trace under
 	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr and implies Stream.
 	ArchiveDir string
-	// Codec tunes archived-trace compression on the streaming path.
-	// Only Level applies (zero is the v2 format default); each run
-	// compresses inline on the goroutine that simulates it.
+	// Codec tunes archived-trace compression on the streaming path: its
+	// one option is the DEFLATE level (zero is the v2 format default).
+	// Each run compresses inline on the goroutine that simulates it.
 	Codec trace.CodecOptions
 }
 

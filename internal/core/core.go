@@ -62,10 +62,10 @@ type Experiment struct {
 	// Replay optionally pins receives to a recorded schedule.
 	Replay *sim.Schedule
 	// Codec tunes archived-trace compression on the streaming path;
-	// ignored unless the experiment streams to an archive. Only Level
-	// applies (zero is the v2 format default): each run compresses
-	// inline on the goroutine that runs it, since the runs are already
-	// spread over the cores, so Workers is not used.
+	// ignored unless the experiment streams to an archive. Its one
+	// option is the DEFLATE level (zero is the v2 format default). Each
+	// run compresses inline on the goroutine that runs it, since the
+	// runs are already spread over the cores.
 	Codec trace.CodecOptions
 }
 

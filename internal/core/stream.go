@@ -121,10 +121,9 @@ func (e Experiment) StartStream(ctx context.Context, k kernel.Kernel, archiveDir
 }
 
 // streamRun simulates run i with its events streaming into a v2 trace
-// file at path. It compresses inline on the goroutine that runs it
-// (only Codec.Level is passed on), so whatever schedules the runs is
-// the one level of parallelism and a failed run leaves no codec
-// goroutine behind.
+// file at path. It compresses inline on the goroutine that runs it, so
+// whatever schedules the runs is the one level of parallelism and a
+// failed run leaves no codec goroutine behind.
 func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string) (*sim.Stats, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -143,7 +142,7 @@ func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern,
 		Seed: e.BaseSeed + int64(i),
 	}
 	cfg := e.config(i, pat)
-	sw := trace.NewStreamWriterOptions(f, meta, trace.CodecOptions{Level: e.Codec.Level})
+	sw := trace.NewStreamWriterOptions(f, meta, e.Codec)
 	cfg.Sink = sw
 	_, stats, err := sim.RunContext(ctx, cfg, meta, program)
 	if err == nil {

@@ -190,13 +190,13 @@ func TestExecuteStreamFailedEncodeLeavesNoFile(t *testing.T) {
 }
 
 // TestExecuteStreamFailedRunLeavesNoGoroutines pins that a streamed run
-// that fails mid-simulation leaves no goroutine behind at any
-// Codec.Workers setting: runs compress inline, so no codec pipeline is
-// started that a failed run (which never closes its writer) would
-// leave parked, holding the writer's buffers. The run fails
+// that fails mid-simulation leaves no goroutine behind: runs compress
+// inline, so a failed run (which never closes its writer) leaves
+// nothing parked holding the writer's buffers. The run fails
 // deterministically — a replay schedule cut short panics the rank that
 // asks for the missing match — after the rank has flushed a full
-// segment, so the pipeline is running when the run fails.
+// segment, so the writer has compressed and written a block when the
+// run fails.
 func TestExecuteStreamFailedRunLeavesNoGoroutines(t *testing.T) {
 	const segmentEvents = 1024 // the v2 writer's per-rank flush threshold
 	e := DefaultExperiment("message_race", 8, 100)
@@ -228,11 +228,15 @@ func TestExecuteStreamFailedRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("no rank receives after its first %d events; enlarge the run", segmentEvents)
 	}
 	e.Replay = sched
+	// Every run replays the same cut schedule, so every run fails; with
+	// more runs than one, the run pool's size decides how many fail at
+	// once, and none of them may leave a goroutine behind.
+	e.Runs = 4
 
 	for _, workers := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			e := e
-			e.Codec = trace.CodecOptions{Workers: workers}
+			e.Workers = workers
 			dir := t.TempDir()
 			base := runtime.NumGoroutine()
 			_, err := e.ExecuteStreamContext(context.Background(), nil, dir)

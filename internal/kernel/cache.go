@@ -78,15 +78,7 @@ func (c *Cache) Features(k Kernel, g *graph.Graph) FeatureVector {
 // looked up (or computed and stored) per graph, then the Gram matrix
 // is assembled exactly as the uncached NewMatrix would.
 func (c *Cache) NewMatrix(k Kernel, graphs []*graph.Graph) *Matrix {
-	return newMatrix(k, graphs, 0, c)
-}
-
-// NewMatrixWorkers is NewMatrix with an explicit worker count.
-func (c *Cache) NewMatrixWorkers(k Kernel, graphs []*graph.Graph, workers int) *Matrix {
-	if workers < 1 {
-		workers = 1
-	}
-	return newMatrix(k, graphs, workers, c)
+	return newMatrix(k, graphs, c)
 }
 
 // PairwiseDistances is the cached counterpart of the package-level

@@ -104,8 +104,8 @@ func TestNilCacheComputes(t *testing.T) {
 }
 
 // TestCacheMatrixMatchesUncached pins the cached Gram build
-// float-for-float to the uncached one, across worker counts and with a
-// pre-warmed cache.
+// float-for-float to the uncached one, cold and with a pre-warmed
+// cache.
 func TestCacheMatrixMatchesUncached(t *testing.T) {
 	graphs := make([]*graph.Graph, 7)
 	for i := range graphs {
@@ -116,25 +116,23 @@ func TestCacheMatrixMatchesUncached(t *testing.T) {
 	graphs = append(graphs, graphs[0])
 	k := NewWL(2)
 	want := NewMatrix(k, graphs)
-	for _, workers := range []int{1, 4} {
-		c := NewCache()
-		got := c.NewMatrixWorkers(k, graphs, workers)
-		if !reflect.DeepEqual(got.K, want.K) {
-			t.Fatalf("workers=%d: cached matrix diverges from uncached", workers)
-		}
-		// 8 graph positions, 7 distinct contents.
-		if c.Len() != 7 {
-			t.Fatalf("workers=%d: cache holds %d embeddings, want 7", workers, c.Len())
-		}
-		// Second build must be all hits, no new entries.
-		misses := c.Misses()
-		again := c.NewMatrixWorkers(k, graphs, workers)
-		if !reflect.DeepEqual(again.K, want.K) {
-			t.Fatalf("workers=%d: warm rebuild diverges", workers)
-		}
-		if c.Misses() != misses {
-			t.Fatalf("workers=%d: warm rebuild recomputed embeddings", workers)
-		}
+	c := NewCache()
+	got := c.NewMatrix(k, graphs)
+	if !reflect.DeepEqual(got.K, want.K) {
+		t.Fatal("cached matrix diverges from uncached")
+	}
+	// 8 graph positions, 7 distinct contents.
+	if c.Len() != 7 {
+		t.Fatalf("cache holds %d embeddings, want 7", c.Len())
+	}
+	// Second build must be all hits, no new entries.
+	misses := c.Misses()
+	again := c.NewMatrix(k, graphs)
+	if !reflect.DeepEqual(again.K, want.K) {
+		t.Fatal("warm rebuild diverges")
+	}
+	if c.Misses() != misses {
+		t.Fatal("warm rebuild recomputed embeddings")
 	}
 }
 
@@ -204,7 +202,7 @@ func TestNewMatrixDegenerateSizes(t *testing.T) {
 
 	g := meshGraph(t, 4, 2, 0, 1)
 	c := NewCache()
-	one := c.NewMatrixWorkers(k, []*graph.Graph{g}, 8)
+	one := c.NewMatrix(k, []*graph.Graph{g})
 	if one.Len() != 1 || one.K[0][0] <= 0 {
 		t.Fatalf("single-graph matrix: %+v", one)
 	}

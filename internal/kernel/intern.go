@@ -12,9 +12,9 @@ import (
 // dozen distinct strings regardless of graph size — so the table stays
 // tiny and the steady state of Features is pure map lookups.
 //
-// An Interner is safe for concurrent use: the parallel Gram-matrix
-// build embeds graphs from many goroutines against the shared
-// package-level table.
+// An Interner is safe for concurrent use: NewMatrix and the run pools
+// embed graphs from many goroutines against the shared package-level
+// table.
 type Interner struct {
 	mu     sync.RWMutex
 	ids    map[string]uint32

@@ -18,69 +18,42 @@ type Matrix struct {
 }
 
 // NewMatrix computes the Gram matrix of the given graphs under k. The
-// n embeddings and the n(n+1)/2 dot products are independent, so both
-// stages fan out across the machine's cores; every value is written to
-// a fixed index, so the matrix is identical to the sequential result.
+// n embeddings are independent and dominate the cost, so they fan out
+// across the machine's cores, each written to its own index; the
+// n(n+1)/2 dot products then run serially (MatrixFromFeatures). The
+// matrix is identical to the sequential result.
 func NewMatrix(k Kernel, graphs []*graph.Graph) *Matrix {
-	return newMatrix(k, graphs, 0, nil)
+	return newMatrix(k, graphs, nil)
 }
 
-// NewMatrixWorkers is NewMatrix with an explicit worker count. Tests
-// sweep it to pin down scheduling-independence, and the perf harness
-// uses it to chart Gram-matrix scaling at fixed parallelism
-// (`anacin bench`'s gram/* scenarios).
-func NewMatrixWorkers(k Kernel, graphs []*graph.Graph, workers int) *Matrix {
-	if workers < 1 {
-		workers = 1
-	}
-	return newMatrix(k, graphs, workers, nil)
-}
-
-// newMatrix is the shared implementation: explicit worker count (<= 0
-// means GOMAXPROCS), optional embedding cache (nil computes every
-// embedding).
-func newMatrix(k Kernel, graphs []*graph.Graph, workers int, cache *Cache) *Matrix {
-	n := len(graphs)
-	m := &Matrix{KernelName: k.Name(), K: make([][]float64, n)}
-	for i := range m.K {
-		m.K[i] = make([]float64, n)
-	}
-	feats := make([]FeatureVector, n)
-	// Stage 1 embeds each graph; stage 2 fills the upper triangle one
-	// row at a time. Rows shrink linearly (row i has n-i products), so
-	// claiming rows off a shared counter balances better than
-	// pre-chunking.
-	par.ForEach(workers, n, func(i int) { feats[i] = cache.Features(k, graphs[i]) })
-	par.ForEach(workers, n, func(i int) { fillRows(feats, m.K, i, i+1) })
-	return m
+// newMatrix is the shared implementation, with an optional embedding
+// cache (nil computes every embedding).
+func newMatrix(k Kernel, graphs []*graph.Graph, cache *Cache) *Matrix {
+	feats := make([]FeatureVector, len(graphs))
+	par.ForEach(0, len(graphs), func(i int) { feats[i] = cache.Features(k, graphs[i]) })
+	return MatrixFromFeatures(k.Name(), feats)
 }
 
 // MatrixFromFeatures builds a Gram matrix from already-computed
 // embeddings — the streaming campaign path embeds each run as its trace
-// is consumed, so no graphs exist by matrix time. The dot-product
-// order matches newMatrix exactly, making the matrix
-// (and every distance derived from it) byte-identical to the
-// graph-based construction over the same embeddings.
+// is consumed, so no graphs exist by matrix time. It is the one Gram
+// assembly: NewMatrix calls it too, so the matrix (and every distance
+// derived from it) is byte-identical whichever way the embeddings were
+// produced.
 func MatrixFromFeatures(kernelName string, feats []FeatureVector) *Matrix {
 	n := len(feats)
 	m := &Matrix{KernelName: kernelName, K: make([][]float64, n)}
 	for i := range m.K {
 		m.K[i] = make([]float64, n)
 	}
-	fillRows(feats, m.K, 0, n)
-	return m
-}
-
-// fillRows computes rows [lo, hi) of the upper triangle (and mirrors
-// them) from the embedded features.
-func fillRows(feats []FeatureVector, K [][]float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		for j := i; j < len(feats); j++ {
+	for i := range feats {
+		for j := i; j < n; j++ {
 			v := feats[i].Dot(feats[j])
-			K[i][j] = v
-			K[j][i] = v
+			m.K[i][j] = v
+			m.K[j][i] = v
 		}
 	}
+	return m
 }
 
 // Len returns the number of graphs the matrix covers.

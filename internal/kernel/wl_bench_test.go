@@ -42,24 +42,18 @@ func BenchmarkWLFeaturesDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkWLGramRank16 measures the parallel Gram-matrix build over a
-// 12-graph sample at several worker counts (the "gram/*" bench
-// scenarios).
+// BenchmarkWLGramRank16 measures the Gram-matrix build (parallel
+// embeddings, serial dot products) over a 12-graph sample.
 func BenchmarkWLGramRank16(b *testing.B) {
 	graphs := make([]*graph.Graph, 12)
 	for i := range graphs {
 		graphs[i] = meshGraph(b, 16, 3, 100, int64(i+1))
 	}
 	w := NewWL(2)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m := NewMatrixWorkers(w, graphs, workers)
-				if m.Len() != len(graphs) {
-					b.Fatal("bad matrix")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m := NewMatrix(w, graphs); m.Len() != len(graphs) {
+			b.Fatal("bad matrix")
+		}
 	}
 }

@@ -127,8 +127,8 @@ func TestWLGoldenFeatures(t *testing.T) {
 }
 
 // TestWLGoldenGram pins the Gram matrix built from interned embeddings
-// identical to one built from reference embeddings, at several worker
-// counts.
+// identical to one built from reference embeddings, through NewMatrix's
+// parallel embedding stage and from serial embeddings alike.
 func TestWLGoldenGram(t *testing.T) {
 	graphs := goldenGraphs(t)
 	w := NewWL(2)
@@ -144,10 +144,16 @@ func TestWLGoldenGram(t *testing.T) {
 			want[i][j] = ref[i].Dot(ref[j])
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		m := NewMatrixWorkers(w, graphs, workers)
+	feats := make([]FeatureVector, n)
+	for i, g := range graphs {
+		feats[i] = w.Features(g)
+	}
+	for name, m := range map[string]*Matrix{
+		"NewMatrix":          NewMatrix(w, graphs),
+		"MatrixFromFeatures": MatrixFromFeatures(w.Name(), feats),
+	} {
 		if !reflect.DeepEqual(m.K, want) {
-			t.Fatalf("workers=%d: Gram matrix diverges from reference-path matrix", workers)
+			t.Fatalf("%s: Gram matrix diverges from reference-path matrix", name)
 		}
 	}
 }

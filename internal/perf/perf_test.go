@@ -24,7 +24,7 @@ func goldenReport() *Report {
 		Warmup:     2,
 		Scenarios: []Result{
 			{Name: "wl-features/h2/r32", MedianNs: 120000, P95Ns: 150000, MinNs: 110000, MeanNs: 125000, AllocsPerOp: 4, BytesPerOp: 9560},
-			{Name: "gram/w4", MedianNs: 900000, P95Ns: 1100000, MinNs: 850000, MeanNs: 930000, AllocsPerOp: 200, BytesPerOp: 420000},
+			{Name: "gram/w1", MedianNs: 900000, P95Ns: 1100000, MinNs: 850000, MeanNs: 930000, AllocsPerOp: 200, BytesPerOp: 420000},
 		},
 	}
 }
@@ -307,7 +307,7 @@ func TestMarkdownWriters(t *testing.T) {
 		"### Benchmark results (10 reps, 2 warmup, GOMAXPROCS 8)",
 		"| Scenario | Median | P95 | Min | Allocs/op | Output |",
 		"| wl-features/h2/r32 | 120µs | 150µs | 110µs | 4 |  |",
-		"| gram/w4 | 900µs | 1.1ms | 850µs | 200 |  |",
+		"| gram/w1 | 900µs | 1.1ms | 850µs | 200 |  |",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("results table missing %q:\n%s", want, got)
@@ -418,14 +418,14 @@ func TestSelect(t *testing.T) {
 	if len(quick) == 0 || len(quick) >= len(all) {
 		t.Errorf("quick set has %d scenarios, want a strict non-empty subset of %d", len(quick), len(all))
 	}
-	named, err := Select("gram/w4, wl-features/h2/r32")
-	if err != nil || len(named) != 2 || named[0].Name != "gram/w4" {
+	named, err := Select("gram/w1, wl-features/h2/r32")
+	if err != nil || len(named) != 2 || named[0].Name != "gram/w1" {
 		t.Fatalf("explicit selection failed: %v, %v", named, err)
 	}
 	if _, err := Select("no-such-scenario"); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("unknown scenario accepted: %v", err)
 	}
-	if _, err := Select("gram/w4,gram/w4"); err == nil {
+	if _, err := Select("gram/w1,gram/w1"); err == nil {
 		t.Error("duplicate scenario accepted")
 	}
 }

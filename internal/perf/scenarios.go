@@ -33,11 +33,10 @@ import (
 //     (BenchmarkWLFeaturesH2Rank32) times.
 //   - dot/wl-h2: the n(n+1)/2 merge-join dot products over pre-built
 //     embeddings — the Gram inner loop in isolation.
-//   - gram/w{1,2,4,8}: the Gram matrix over a 12-run sample of
-//     16-rank graphs at fixed worker counts, built through the
-//     pipeline's embedding cache (warm after the first rep) — cache
-//     lookups plus dot products, charting parallel scaling of the
-//     fill.
+//   - gram/w1: the Gram matrix over a 12-run sample of 16-rank
+//     graphs on one goroutine, through the pipeline's embedding cache
+//     (warm after the first rep) — serial cache lookups plus serial
+//     dot products.
 //   - slice-profile/32rank: the Fig. 8 slice profile (16 windows,
 //     8 runs, 32 ranks) — many small Gram builds in parallel.
 //   - figure/fig2: one paper figure end to end (simulate, trace,
@@ -169,25 +168,33 @@ func wlFeaturesScenario(name string, h, procs int) Scenario {
 	}
 }
 
-// gramScenario times the Gram-matrix build at a fixed worker count,
-// through the same embedding cache the pipeline uses: a RunSet holds
-// one cache across all of its analyses, so after the first build (here
-// a warmup rep) every rebuild pays cache lookups plus the merge-join
-// dot products, not re-embedding. The cold embedding cost is tracked
-// separately by wl-features/h2/r32; the dot stage alone by dot/wl-h2.
-func gramScenario(workers int) Scenario {
+// gramScenario times the Gram-matrix build on one goroutine, through
+// the same embedding cache the pipeline uses: a RunSet holds one cache
+// across all of its analyses, so after the first build (here a warmup
+// rep) every rebuild pays cache lookups plus the merge-join dot
+// products, not re-embedding. The lookups run serially rather than
+// through Cache.NewMatrix's GOMAXPROCS fan-out, so the scenario's work
+// does not change with the core count. The cold embedding cost is
+// tracked separately by wl-features/h2/r32; the dot stage alone by
+// dot/wl-h2.
+func gramScenario() Scenario {
 	return Scenario{
-		Name:        fmt.Sprintf("gram/w%d", workers),
-		Description: fmt.Sprintf("WL-2 Gram matrix over 12 16-rank graphs, %d workers, run-set embedding cache", workers),
+		Name:        "gram/w1",
+		Description: "WL-2 Gram matrix over 12 16-rank graphs, 1 worker, run-set embedding cache",
 		Setup: func() (func() error, error) {
 			gs, err := sampleGraphs("unstructured_mesh", 16, 12)
 			if err != nil {
 				return nil, err
 			}
-			w := kernel.NewWL(2)
+			// One interface value for every lookup, as NewMatrix takes it.
+			var k kernel.Kernel = kernel.NewWL(2)
 			c := kernel.NewCache()
 			return func() error {
-				m := c.NewMatrixWorkers(w, gs, workers)
+				feats := make([]kernel.FeatureVector, len(gs))
+				for i, g := range gs {
+					feats[i] = c.Features(k, g)
+				}
+				m := kernel.MatrixFromFeatures(k.Name(), feats)
 				if m.Len() != len(gs) {
 					return fmt.Errorf("matrix has %d rows, want %d", m.Len(), len(gs))
 				}
@@ -427,29 +434,15 @@ func raceTrace() (*trace.Trace, error) {
 // records its encoded size (and, for v2, the ratio against v1) through
 // the Output hook, so a codec change that trades archive bloat for
 // speed is visible — and gated — in the same report as the wall-clock.
-// workers > 1 routes the v2 encode through the segment-compression
-// pipeline (WriteBinaryV2Options); the bytes are identical to the
-// serial encode by design, which the Output measurement re-confirms on
-// every bench run since the ratio is computed against a serial v1
-// encode of the same trace.
-func traceEncodeScenario(version, workers int) Scenario {
+func traceEncodeScenario(version int) Scenario {
 	name := fmt.Sprintf("trace-encode/1024rank-v%d", version)
 	desc := fmt.Sprintf("binary v%d encode of one 1024-rank message-race trace (%d iterations, stacks on)",
 		version, raceCellIterations)
-	if workers > 1 {
-		name = fmt.Sprintf("trace-encode/1024rank-v%d-par%d", version, workers)
-		desc = fmt.Sprintf("binary v%d encode of one 1024-rank message-race trace through the %d-worker compression pipeline (bytes identical to serial)",
-			version, workers)
-	}
 	encode := func(tr *trace.Trace, w *countingWriter) error {
-		switch {
-		case version == 1:
+		if version == 1 {
 			return tr.WriteBinary(w)
-		case workers > 1:
-			return tr.WriteBinaryV2Options(w, trace.CodecOptions{Workers: workers})
-		default:
-			return tr.WriteBinaryV2(w)
 		}
+		return tr.WriteBinaryV2(w)
 	}
 	var tr *trace.Trace
 	return Scenario{
@@ -618,17 +611,13 @@ func AllScenarios() []Scenario {
 		raceSimScenario(),
 		campaignCellScenario(),
 		traceToGraphScenario(32, simScenarioIterations),
-		traceEncodeScenario(1, 1),
-		traceEncodeScenario(2, 1),
-		traceEncodeScenario(2, 4),
+		traceEncodeScenario(1),
+		traceEncodeScenario(2),
 		traceDecodeGraphScenario(1),
 		traceDecodeGraphScenario(2),
 		wlFeaturesScenario("wl-features/h2/r32", 2, 32),
 		dotScenario(),
-		gramScenario(1),
-		gramScenario(2),
-		gramScenario(4),
-		gramScenario(8),
+		gramScenario(),
 		sliceProfileScenario(),
 		verifyScenario(32),
 		figureScenario("fig2"),
@@ -645,19 +634,19 @@ func AllScenarios() []Scenario {
 }
 
 // quickNames is the reduced set CI runs on every push: the innermost
-// kernel, the isolated dot-product stage, serial and mid-parallel Gram
-// builds, one end-to-end figure, and the 1024-rank tier of the large-P
+// kernel, the isolated dot-product stage, the serial Gram build, one
+// end-to-end figure, and the 1024-rank tier of the large-P
 // family (the 4096-rank tier stays full-set-only for CI wall-clock).
 // Large-P scenarios participate in the same regression gate as the
 // core set: >25% min-wall-clock slowdowns (the CI statistic) and
 // allocs/op growth both fail.
 var quickNames = []string{
 	"sim/32rank-stacks", "sim/32rank-nostacks", "trace-to-graph/32rank",
-	"wl-features/h2/r32", "dot/wl-h2", "gram/w1", "gram/w4", "figure/fig2",
+	"wl-features/h2/r32", "dot/wl-h2", "gram/w1", "figure/fig2",
 	"verify/elaborate-32rank",
 	"sim/1024rank-stencil", "sim/1024rank-collectives", "sim/1024rank-masterworker",
 	"sim/1024rank-race", "campaign-cell/1024rank-race",
-	"trace-encode/1024rank-v1", "trace-encode/1024rank-v2", "trace-encode/1024rank-v2-par4",
+	"trace-encode/1024rank-v1", "trace-encode/1024rank-v2",
 	"trace-decode+graph/1024rank-v1", "trace-decode+graph/1024rank-v2",
 }
 

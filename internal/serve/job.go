@@ -209,8 +209,10 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry running jobs against store.
-// cellWorkers caps concurrent cells per job; simWorkers caps
-// simulations in flight across all jobs (both default to GOMAXPROCS).
+// cellWorkers caps concurrent cells per job; simWorkers caps cell
+// computations in flight across all jobs, each running up to
+// max(1, GOMAXPROCS / cells in flight in its job) simulations (both
+// default to GOMAXPROCS).
 func NewRegistry(store *Store, cellWorkers, simWorkers int) *Registry {
 	return NewRegistryArchive(store, cellWorkers, simWorkers, "", trace.CodecOptions{})
 }
@@ -220,8 +222,8 @@ func NewRegistry(store *Store, cellWorkers, simWorkers int) *Registry {
 // every run's v2 trace is kept under
 // <archiveDir>/<cell-fingerprint>/run-<i>.anctr, replayable with
 // `anacin replay`. Cell results are byte-identical either way. codec
-// tunes archived-trace compression; only its Level applies (zero = the
-// v2 format default), and runs compress inline.
+// sets the archived traces' DEFLATE level (zero = the v2 format
+// default); runs compress inline.
 func NewRegistryArchive(store *Store, cellWorkers, simWorkers int, archiveDir string, codec trace.CodecOptions) *Registry {
 	if simWorkers < 1 {
 		simWorkers = runtime.GOMAXPROCS(0)
@@ -398,9 +400,9 @@ func (j *Job) runCell(ctx context.Context, r *Registry, idx, runWorkers int) {
 	fp := j.grid.CellFingerprint(spec)
 	start := time.Now()
 	cell, src, err := r.store.GetOrCompute(ctx, fp, func(cctx context.Context) campaign.Cell {
-		// The global slot bounds total concurrent simulations across
-		// jobs; dedupe happens before the queue, so waiting here never
-		// duplicates work.
+		// The global slot bounds concurrent cell computations across
+		// jobs (each runs up to runWorkers simulations); dedupe happens
+		// before the queue, so waiting here never duplicates work.
 		select {
 		case r.simSlots <- struct{}{}:
 		case <-cctx.Done():

@@ -18,8 +18,11 @@ import (
 type Config struct {
 	// CellWorkers caps concurrent cells per job (0 = GOMAXPROCS).
 	CellWorkers int
-	// SimWorkers caps simulations in flight across all jobs
-	// (0 = GOMAXPROCS).
+	// SimWorkers caps cell computations in flight across all jobs
+	// (0 = GOMAXPROCS). It counts cells, not simulations: each
+	// computation holds one slot for the whole cell and runs up to
+	// max(1, GOMAXPROCS / cells in flight in its job) simulations at
+	// once.
 	SimWorkers int
 	// MaxCells rejects grids with more cells (0 = DefaultMaxCells).
 	MaxCells int
@@ -33,9 +36,9 @@ type Config struct {
 	// durable counterpart of the in-memory result store: any archived
 	// cell can be re-derived offline with `anacin replay`.
 	ArchiveDir string
-	// Codec tunes archived-trace compression. Only Level applies (zero
-	// is the v2 format default); each run compresses inline on the
-	// goroutine that simulates it.
+	// Codec tunes archived-trace compression: its one option is the
+	// DEFLATE level (zero is the v2 format default). Each run compresses
+	// inline on the goroutine that simulates it.
 	Codec trace.CodecOptions
 	// Log receives request and lifecycle lines (nil = log.Default()).
 	Log *log.Logger

@@ -65,10 +65,8 @@ import (
 //	    uvarint offset + uvarint count
 //	trailer: 8-byte LE footer offset, magic "ANCNTR02"
 //
-// Because every block is its own compression context, the writer is
-// free to compress blocks on a worker pool (see CodecOptions.Workers
-// and codec.go) — the archived bytes are identical for every worker
-// count.
+// Every block is its own compression context, so only the DEFLATE
+// level (CodecOptions.Level) changes the archived bytes.
 var binaryMagicV2 = [8]byte{'A', 'N', 'C', 'N', 'T', 'R', '0', '2'}
 
 // v2MaxPayloadBytes bounds a segment payload's claimed raw size per
@@ -110,6 +108,12 @@ type EventSink interface {
 	// stream order) and surface failures from their Close/Err methods
 	// rather than returning them per event.
 	Append(Event)
+}
+
+// segRef names one run inside a block for the footer: rank and event
+// count. The block's file offset is assigned when the block is written.
+type segRef struct {
+	rank, count int
 }
 
 // v2Segment locates one encoded run of events within the file.
@@ -201,10 +205,7 @@ func (re *rankEncoder) release() {
 }
 
 // fileSink is the buffered file writer plus its running offset and
-// sticky I/O error. Exactly one goroutine owns it at a time: the
-// StreamWriter's caller during the header, footer, and serial
-// operation, the pipeline's drain goroutine between the first
-// pipelined flush and the Close-time join.
+// sticky I/O error.
 type fileSink struct {
 	bw      *bufio.Writer
 	off     int64
@@ -253,12 +254,9 @@ func (s *fileSink) writeString(str string) {
 // first I/O or usage error disables further encoding and is returned by
 // Close (and Err).
 //
-// By default each block is DEFLATEd inline on the Append path with one
-// pooled compression context, so a writer starts no goroutines. With
-// CodecOptions.Workers > 1 the DEFLATE stage runs on a worker pool
-// behind a sequence-numbered reorder (codec.go) until Close joins it;
-// the bytes written are identical to the serial path's for every
-// worker count.
+// Each block is DEFLATEd inline on the Append path with one pooled
+// compression context, so a writer starts no goroutines; callers that
+// want parallelism run one writer per run.
 //
 // StreamWriter implements EventSink.
 type StreamWriter struct {
@@ -279,14 +277,12 @@ type StreamWriter struct {
 	lastKey string
 	lastIdx int
 
-	level   int
-	workers int
-	pipe    *codecPipeline // non-nil once a block has been pipelined
+	level int
 
 	payload []byte      // raw segment/footer payload being assembled
 	header  []byte      // block header being assembled
-	refs    []segRef    // serial-path footer refs scratch
-	comp    *compressor // serial-path and footer DEFLATE context
+	refs    []segRef    // footer refs scratch
+	comp    *compressor // DEFLATE context, taken at the first block
 }
 
 // NewStreamWriter starts a v2 binary trace for meta on w with default
@@ -297,8 +293,7 @@ func NewStreamWriter(w io.Writer, meta Meta) *StreamWriter {
 }
 
 // NewStreamWriterOptions is NewStreamWriter with explicit codec
-// options. The compression level changes the archived bytes; the
-// worker count never does.
+// options. The compression level changes the archived bytes.
 func NewStreamWriterOptions(w io.Writer, meta Meta, opts CodecOptions) *StreamWriter {
 	sw := &StreamWriter{
 		sink:    fileSink{bw: bufio.NewWriter(w)},
@@ -311,12 +306,12 @@ func NewStreamWriterOptions(w io.Writer, meta Meta, opts CodecOptions) *StreamWr
 		return sw
 	}
 	sw.ranks = make([]rankEncoder, meta.Procs)
-	level, workers, err := opts.resolve()
+	level, err := opts.level()
 	if err != nil {
 		sw.err = err
 		return sw
 	}
-	sw.level, sw.workers = level, workers
+	sw.level = level
 	for i := range sw.ranks {
 		sw.ranks[i].maxSendID = -1
 	}
@@ -455,12 +450,8 @@ func appendUvarintColumn(dst []byte, vals []int) []byte {
 }
 
 // flushRanks encodes the buffered events of ranks [lo, hi) that have
-// any as one block of per-rank runs sharing one DEFLATE stream, and
-// queues it for writing: inline when the writer is serial, through the
-// compression pipeline otherwise. The block's footer segments are
-// recorded when the block is written (writeBlock), which on both paths
-// happens in flush order — so offsets, footer, and bytes are identical
-// regardless of worker count.
+// any as one block of per-rank runs sharing one DEFLATE stream,
+// compresses it, and writes it.
 func (sw *StreamWriter) flushRanks(lo, hi int) {
 	if sw.err != nil {
 		return
@@ -471,7 +462,7 @@ func (sw *StreamWriter) flushRanks(lo, hi int) {
 			refs = append(refs, segRef{rank: r, count: n})
 		}
 	}
-	sw.refs = refs[:0] // keep the scratch; a copy goes to the job below
+	sw.refs = refs[:0]
 	if len(refs) == 0 {
 		return
 	}
@@ -503,51 +494,10 @@ func (sw *StreamWriter) flushRanks(lo, hi int) {
 		re.lamports = re.lamports[:0]
 		re.stacks = re.stacks[:0]
 	}
-
-	if sw.workers > 1 {
-		if sw.pipe == nil {
-			sw.pipe = newCodecPipeline(sw, sw.workers)
-		}
-		// The job owns header and payload until the drain releases them;
-		// grab fresh pooled scratch for the next flush.
-		sw.pipe.submit(&codecJob{
-			header:  header,
-			payload: payload,
-			refs:    append([]segRef(nil), refs...),
-			done:    make(chan struct{}),
-		})
-		sw.header = getBuf()
-		sw.payload = getBuf()
-		return
-	}
 	sw.header, sw.payload = header, payload
-	if sw.comp == nil {
-		c, err := getCompressor(sw.level)
-		if err != nil {
-			sw.err = err
-			return
-		}
-		sw.comp = c
-	}
-	comp, err := sw.comp.compress(payload)
-	if err != nil {
-		sw.err = err
-		return
-	}
-	sw.writeBlock(header, len(payload), comp, refs)
-}
-
-// writeBlock writes one compressed block — header, frame lengths,
-// DEFLATE bytes — and records its runs in the footer segment lists at
-// the offset the block landed on. On the pipelined path this runs on
-// the drain goroutine, which owns both the sink and the segment lists
-// until Close joins it.
-func (sw *StreamWriter) writeBlock(header []byte, rawLen int, comp []byte, refs []segRef) {
 	off := sw.sink.off
 	sw.sink.write(header)
-	sw.sink.writeUvarint(uint64(rawLen))
-	sw.sink.writeUvarint(uint64(len(comp)))
-	sw.sink.write(comp)
+	sw.writeCompressedPayload()
 	for _, ref := range refs {
 		re := &sw.ranks[ref.rank]
 		re.segs = append(re.segs, v2Segment{off: off, count: ref.count})
@@ -556,11 +506,11 @@ func (sw *StreamWriter) writeBlock(header []byte, rawLen int, comp []byte, refs 
 
 // writeCompressedPayload DEFLATE-compresses the assembled sw.payload
 // and writes it framed as uvarint raw len, uvarint compressed len,
-// compressed bytes — the footer's framing. The payload buffer is reset
-// for the next use.
+// compressed bytes — the framing of every block payload and of the
+// footer. The payload buffer is reset for the next use.
 func (sw *StreamWriter) writeCompressedPayload() {
+	defer func() { sw.payload = sw.payload[:0] }()
 	if sw.err != nil {
-		sw.payload = sw.payload[:0]
 		return
 	}
 	if sw.comp == nil {
@@ -579,7 +529,6 @@ func (sw *StreamWriter) writeCompressedPayload() {
 	sw.sink.writeUvarint(uint64(len(sw.payload)))
 	sw.sink.writeUvarint(uint64(len(comp)))
 	sw.sink.write(comp)
-	sw.payload = sw.payload[:0]
 }
 
 // commonPrefixLen returns the length of the longest common prefix of a
@@ -596,8 +545,7 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
-// Close flushes the pending segments, joins the compression pipeline,
-// and writes the dictionary, footer, and trailer. It returns the first
+// Close flushes the pending segments and writes the dictionary, footer, and trailer. It returns the first
 // error the writer encountered. Close is idempotent; Append after
 // Close is an error.
 func (sw *StreamWriter) Close() error {
@@ -618,14 +566,6 @@ func (sw *StreamWriter) Close() error {
 		pending += n
 	}
 	sw.flushRanks(lo, len(sw.ranks))
-	if sw.pipe != nil {
-		// Join: every submitted block is compressed and written, and
-		// sink ownership passes back to this goroutine.
-		if err := sw.pipe.finish(); err != nil && sw.err == nil {
-			sw.err = err
-		}
-		sw.pipe = nil
-	}
 	for r := range sw.ranks {
 		sw.ranks[r].release()
 	}
@@ -682,39 +622,26 @@ func (sw *StreamWriter) Close() error {
 	}
 	putCompressor(sw.comp)
 	sw.comp = nil
-	putBuf(sw.payload)
-	putBuf(sw.header)
 	sw.payload, sw.header = nil, nil
 	return sw.err
 }
 
-// Err returns the writer's sticky usage or compression error without
-// closing it. I/O errors from pipelined block writes surface at Close,
-// when the pipeline is joined.
+// Err returns the writer's sticky usage, compression or I/O error
+// without closing it.
 func (sw *StreamWriter) Err() error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if sw.pipe == nil {
-		return sw.sink.err
-	}
-	return nil
+	return sw.sink.err
 }
 
 // NumEvents returns how many events have been appended.
 func (sw *StreamWriter) NumEvents() int { return sw.total }
 
 // WriteBinaryV2 serializes the trace in the v2 binary format with
-// default codec options (compressed inline).
+// default codec options.
 func (t *Trace) WriteBinaryV2(w io.Writer) error {
-	return t.WriteBinaryV2Options(w, CodecOptions{})
-}
-
-// WriteBinaryV2Options serializes the trace in the v2 binary format
-// with explicit codec options. The output bytes depend on the
-// compression level but never on the worker count.
-func (t *Trace) WriteBinaryV2Options(w io.Writer, opts CodecOptions) error {
-	sw := NewStreamWriterOptions(w, t.Meta, opts)
+	sw := NewStreamWriter(w, t.Meta)
 	for _, evs := range t.Events {
 		for i := range evs {
 			sw.Append(evs[i])

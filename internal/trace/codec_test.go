@@ -11,93 +11,32 @@ import (
 	"time"
 )
 
-// TestArchiveBytesIdenticalAcrossCodecWorkers pins the parallel codec's
-// core contract: the worker count is a throughput knob, never a format
-// knob. Every worker setting — 0 and 1 (both inline) and the pipeline
-// at several widths — must produce archives byte-identical to the
-// serial encode, because each segment block is an independent DEFLATE
-// stream and the drain writes blocks in submission order.
-func TestArchiveBytesIdenticalAcrossCodecWorkers(t *testing.T) {
-	tr := interleavedTrace(3, 2*v2SegmentEvents+57)
-
-	var serial bytes.Buffer
-	if err := tr.WriteBinaryV2Options(&serial, CodecOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty serial encoding")
-	}
-
-	for _, workers := range []int{0, 2, 3, 4, 8} {
-		var got bytes.Buffer
-		if err := tr.WriteBinaryV2Options(&got, CodecOptions{Workers: workers}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(serial.Bytes(), got.Bytes()) {
-			t.Errorf("workers=%d produced different bytes: %d vs serial %d",
-				workers, got.Len(), serial.Len())
+// encodeLevel encodes tr at a codec level through the StreamWriter,
+// appending each rank's events in turn.
+func encodeLevel(tr *Trace, level int) ([]byte, error) {
+	var buf bytes.Buffer
+	sw := NewStreamWriterOptions(&buf, tr.Meta, CodecOptions{Level: level})
+	for _, evs := range tr.Events {
+		for i := range evs {
+			sw.Append(evs[i])
 		}
 	}
-
-	// The default WriteBinaryV2 (zero options) is the same archive too.
-	var def bytes.Buffer
-	if err := tr.WriteBinaryV2(&def); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), def.Bytes()) {
-		t.Error("default WriteBinaryV2 differs from explicit serial encode")
-	}
-}
-
-// TestStreamWriterBytesIdenticalAcrossCodecWorkers repeats the
-// determinism pin on the streaming path — interleaved appends, segment
-// flushes mid-stream — which is the path campaign archives actually
-// take: at the inline default (0) and at explicit pipeline widths.
-func TestStreamWriterBytesIdenticalAcrossCodecWorkers(t *testing.T) {
-	const procs, perRank = 3, v2SegmentEvents + 211
-	tr := interleavedTrace(procs, perRank)
-
-	encode := func(workers int) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		sw := NewStreamWriterOptions(&buf, tr.Meta, CodecOptions{Workers: workers})
-		for i := 0; i < perRank; i++ {
-			for rank := 0; rank < procs; rank++ {
-				sw.Append(tr.Events[rank][i])
-			}
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return buf.Bytes()
-	}
-
-	serial := encode(1)
-	for _, workers := range []int{0, 2, 4} {
-		if got := encode(workers); !bytes.Equal(serial, got) {
-			t.Errorf("stream workers=%d produced different bytes: %d vs serial %d",
-				workers, len(got), len(serial))
-		}
-	}
+	err := sw.Close()
+	return buf.Bytes(), err
 }
 
 // TestCodecLevelRoundTrips pins the compression-level knob: non-default
 // levels legitimately change the archived bytes, but every level must
-// decode back to the identical trace, serial and pipelined alike.
+// decode back to the source trace, and the default level is exactly
+// WriteBinaryV2's archive.
 func TestCodecLevelRoundTrips(t *testing.T) {
 	tr := interleavedTrace(2, v2SegmentEvents+91)
 	for _, level := range []int{flate.HuffmanOnly, flate.NoCompression, 1, 6, flate.BestCompression} {
-		var serial, piped bytes.Buffer
-		if err := tr.WriteBinaryV2Options(&serial, CodecOptions{Level: level, Workers: 1}); err != nil {
+		data, err := encodeLevel(tr, level)
+		if err != nil {
 			t.Fatalf("level=%d: %v", level, err)
 		}
-		if err := tr.WriteBinaryV2Options(&piped, CodecOptions{Level: level, Workers: 4}); err != nil {
-			t.Fatalf("level=%d workers=4: %v", level, err)
-		}
-		if !bytes.Equal(serial.Bytes(), piped.Bytes()) {
-			t.Errorf("level=%d: pipelined bytes differ from serial", level)
-		}
-		got, err := ReadBinary(bytes.NewReader(serial.Bytes()))
+		got, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("level=%d: %v", level, err)
 		}
@@ -105,8 +44,18 @@ func TestCodecLevelRoundTrips(t *testing.T) {
 			t.Errorf("level=%d round trip changed the trace hash", level)
 		}
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteBinaryV2Options(&buf, CodecOptions{Level: 42}); err == nil {
+	def, err := encodeLevel(tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tr.WriteBinaryV2(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(def, want.Bytes()) {
+		t.Error("zero CodecOptions differ from WriteBinaryV2")
+	}
+	if _, err := encodeLevel(tr, 42); err == nil {
 		t.Error("out-of-range compression level accepted")
 	}
 }
@@ -146,12 +95,12 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestStreamWriterDefaultStartsNoGoroutines pins the zero CodecOptions
-// as inline compression: a default StreamWriter encoding an interleaved
-// multi-segment trace, on a multi-core GOMAXPROCS, writes every block
-// from the appending goroutine with no codec goroutine alive. Callers
-// such as the campaign run pool already run one writer per core, so a
-// default writer must not add a level of parallelism under them.
+// TestStreamWriterDefaultStartsNoGoroutines pins compression as inline
+// at every level, the default included: a StreamWriter encoding an
+// interleaved multi-segment trace, on a multi-core GOMAXPROCS, writes
+// every block from the appending goroutine with no codec goroutine
+// alive. Callers such as the campaign run pool already run one writer
+// per core, so a writer must not add a level of parallelism under them.
 func TestStreamWriterDefaultStartsNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const procs, perRank = 4, 2*v2SegmentEvents + 57
@@ -165,30 +114,32 @@ func TestStreamWriterDefaultStartsNoGoroutines(t *testing.T) {
 		}
 	}
 
-	probe := &goroutineProbe{base: settledGoroutines()}
-	sw := NewStreamWriter(probe, tr.Meta)
-	for i := 0; i < perRank; i++ {
-		for rank := 0; rank < procs; rank++ {
-			sw.Append(tr.Events[rank][i])
+	for _, level := range []int{0, flate.HuffmanOnly, flate.NoCompression, 1, 6, flate.BestCompression} {
+		probe := &goroutineProbe{base: settledGoroutines()}
+		sw := NewStreamWriterOptions(probe, tr.Meta, CodecOptions{Level: level})
+		for i := 0; i < perRank; i++ {
+			for rank := 0; rank < procs; rank++ {
+				sw.Append(tr.Events[rank][i])
+			}
 		}
-	}
-	appendWrites := probe.writes
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(probe.off) > 0 {
-		t.Errorf("%d of %d writes ran with goroutine counts %v, want %d at every write",
-			len(probe.off), probe.writes, probe.off, probe.base)
-	}
-	if appendWrites == 0 {
-		t.Fatal("no block reached the io.Writer before Close: the trace is too small to exercise segment flushes")
-	}
-	got, err := ReadBinary(bytes.NewReader(probe.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Hash() != tr.Hash() {
-		t.Error("inline encode changed the trace hash")
+		appendWrites := probe.writes
+		if err := sw.Close(); err != nil {
+			t.Fatalf("level=%d: %v", level, err)
+		}
+		if len(probe.off) > 0 {
+			t.Errorf("level=%d: %d of %d writes ran with goroutine counts %v, want %d at every write",
+				level, len(probe.off), probe.writes, probe.off, probe.base)
+		}
+		if appendWrites == 0 {
+			t.Fatalf("level=%d: no block reached the io.Writer before Close: the trace is too small to exercise segment flushes", level)
+		}
+		got, err := ReadBinary(bytes.NewReader(probe.Bytes()))
+		if err != nil {
+			t.Fatalf("level=%d: %v", level, err)
+		}
+		if got.Hash() != tr.Hash() {
+			t.Errorf("level=%d: inline encode changed the trace hash", level)
+		}
 	}
 }
 
