@@ -153,13 +153,29 @@ func vcsRevision() string {
 	if !ok {
 		return ""
 	}
-	for _, s := range info.Settings {
-		if s.Key == "vcs.revision" {
-			if len(s.Value) > 12 {
-				return s.Value[:12]
+	return revisionOf(info.Settings)
+}
+
+// revisionOf returns the short vcs.revision of the build settings,
+// suffixed "-dirty" when vcs.modified says the tree had uncommitted
+// changes, so a report never passes a local edit off as its parent
+// commit.
+func revisionOf(settings []debug.BuildSetting) string {
+	var rev string
+	dirty := false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+			if len(rev) > 12 {
+				rev = rev[:12]
 			}
-			return s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
 		}
 	}
-	return ""
+	if rev != "" && dirty {
+		rev += "-dirty"
+	}
+	return rev
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -177,5 +178,30 @@ func TestCmdBenchRejectsUnknownStat(t *testing.T) {
 func TestCmdBenchRejectsUnknownScenario(t *testing.T) {
 	if err := cmdBench([]string{"-scenarios", "no-such"}); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestRevisionOfMarksUncommittedBuilds pins the commit a BENCH.json
+// report names: the short vcs.revision, with "-dirty" appended when
+// the binary was built from a tree with uncommitted changes.
+func TestRevisionOfMarksUncommittedBuilds(t *testing.T) {
+	const full = "9836606f511fa2519fcd7ffeff87701e786dbbb9"
+	rev := debug.BuildSetting{Key: "vcs.revision", Value: full}
+	cases := []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"no vcs info", nil, ""},
+		{"clean", []debug.BuildSetting{rev, {Key: "vcs.modified", Value: "false"}}, "9836606f511f"},
+		{"dirty", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}, rev}, "9836606f511f-dirty"},
+		{"no modified key", []debug.BuildSetting{rev}, "9836606f511f"},
+		{"short revision", []debug.BuildSetting{{Key: "vcs.revision", Value: "abc"}, {Key: "vcs.modified", Value: "true"}}, "abc-dirty"},
+		{"modified without revision", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+	}
+	for _, c := range cases {
+		if got := revisionOf(c.settings); got != c.want {
+			t.Errorf("%s: revisionOf = %q, want %q", c.name, got, c.want)
+		}
 	}
 }

@@ -53,8 +53,7 @@ flags:
 	csvPath := fs.String("csv", "", "also write the cells as CSV to this path")
 	workers := fs.Int("workers", 0, "concurrent runs (0 = one per core)")
 	archive := fs.String("archive", "", "archive every run's v2 trace under this directory\n(<dir>/<cell-fingerprint>/run-<i>.anctr, replayable with 'anacin replay')")
-	stream := fs.Bool("stream", false, "run cells through the streaming pipeline (flat per-cell memory;\nimplied by -archive)")
-	compressLevel := fs.Int("compress-level", 0, "DEFLATE level for archived traces (-2..9; 0 = format default,\nBestSpeed). Changes archived bytes; applies with -archive/-stream")
+	compressLevel := fs.Int("compress-level", 0, "DEFLATE level for archived traces (-2..9; 0 = format default,\nBestSpeed). Changes archived bytes; applies with -archive")
 	timeout := fs.Duration("timeout", 0, "cancel the campaign after this wall-clock duration (0 = none)")
 	quiet := fs.Bool("quiet", false, "suppress per-cell progress on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -120,10 +119,7 @@ flags:
 		defer cancel()
 	}
 
-	runner := &campaign.Runner{
-		Workers: *workers, Stream: *stream, ArchiveDir: *archive,
-		Codec: codec,
-	}
+	runner := &campaign.Runner{Workers: *workers, ArchiveDir: *archive, Codec: codec}
 	if !*quiet {
 		runner.Progress = func(p campaign.Progress) {
 			status := fmt.Sprintf("median %.4g", p.Cell.Summary.Median)

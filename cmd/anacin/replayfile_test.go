@@ -18,11 +18,17 @@ func archiveSample(t *testing.T, dir string) []uint64 {
 	t.Helper()
 	e := core.DefaultExperiment("message_race", 4, 100)
 	e.Runs = 4
-	srs, err := e.ExecuteStreamContext(context.Background(), nil, dir)
+	s, ers, err := e.StartEmbedded(context.Background(), nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srs.OrderHashes
+	for i := range e.Runs {
+		s.Run(i)
+	}
+	if err := s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return ers.OrderHashes
 }
 
 // TestCmdReplayArtifacts pins the archival contract end to end: a

@@ -92,32 +92,25 @@ func (g *Grid) CellFingerprint(spec CellSpec) kernel.Fingerprint {
 // Failures are recorded in Cell.Err, not returned: a cell is an
 // independent measurement and its caller (a serving layer's store, or
 // a benchmark) decides what a failure means for the whole. runWorkers
-// caps the cell's run concurrency (<=0 means one worker per core). The
-// Runner does not call it: it interleaves every cell's runs on one
-// queue, through the same per-cell run state.
+// caps the cell's run concurrency (<=0 means one worker per core). Each
+// run reduces to its embedding and order hash in memory, inside the
+// run, and writes no file. The Runner does not call it: it interleaves
+// every cell's runs on one queue, through the same per-cell run state.
 func RunCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int) Cell {
-	return runCell(ctx, g, spec, runWorkers, false, "", trace.CodecOptions{})
+	return RunCellArchive(ctx, g, spec, runWorkers, "", trace.CodecOptions{})
 }
 
-// RunCellStream is RunCell through the streaming pipeline: every run
-// simulates straight into a v2 trace file, is embedded by streaming the
-// file back, and is reduced without a trace or graph ever materializing
-// — flat memory in run length. When archiveDir is non-empty, the cell's
-// traces are archived there under the cell's fingerprint
-// (<archiveDir>/<fingerprint>/run-<i>.anctr), making the directory a
-// content-addressed store replayable with `anacin replay`. The
-// resulting Cell is byte-identical to RunCell's (the embeddings, and
-// therefore the summary, match exactly — a property the tests pin).
-// codec tunes archived-trace compression; only its Level applies
-// (zero = format default), and runs compress inline.
-func RunCellStream(ctx context.Context, g Grid, spec CellSpec, runWorkers int, archiveDir string, codec trace.CodecOptions) Cell {
-	return runCell(ctx, g, spec, runWorkers, true, archiveDir, codec)
-}
-
-// runCell runs every run of one cell on runWorkers goroutines.
-func runCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int, stream bool, archiveDir string, codec trace.CodecOptions) Cell {
+// RunCellArchive is RunCell with trace archiving: when archiveDir is
+// non-empty, every run simulates straight into a v2 trace file under
+// the cell's fingerprint (<archiveDir>/<fingerprint>/run-<i>.anctr) and
+// is embedded by streaming the file back, so the directory is a
+// content-addressed store replayable with `anacin replay`. With an
+// empty archiveDir it is RunCell. The resulting Cell is byte-identical
+// either way (a property the tests pin). codec sets the archived
+// traces' DEFLATE level (zero = format default); runs compress inline.
+func RunCellArchive(ctx context.Context, g Grid, spec CellSpec, runWorkers int, archiveDir string, codec trace.CodecOptions) Cell {
 	q := g.withDefaults()
-	c := startCell(ctx, &q, spec, stream, archiveDir, codec)
+	c := startCell(ctx, &q, spec, archiveDir, codec)
 	par.ForEach(runWorkers, q.Runs, c.run)
 	return c.finish()
 }
@@ -128,14 +121,13 @@ func runCell(ctx context.Context, g Grid, spec CellSpec, runWorkers int, stream 
 type cellRun struct {
 	cell   Cell
 	sample *core.Sample
-	reduce func(*Cell)
+	runs   *core.EmbeddedRunSet
 }
 
 // startCell starts the cell spec of the defaulted grid q (see
-// Grid.withDefaults). With stream set, its runs go through the
-// streaming pipeline, archived under the cell's fingerprint in
+// Grid.withDefaults), archived under the cell's fingerprint in
 // archiveDir when that is non-empty.
-func startCell(ctx context.Context, q *Grid, spec CellSpec, stream bool, archiveDir string, codec trace.CodecOptions) *cellRun {
+func startCell(ctx context.Context, q *Grid, spec CellSpec, archiveDir string, codec trace.CodecOptions) *cellRun {
 	c := &cellRun{cell: Cell{
 		Pattern: spec.Pattern, Procs: spec.Procs, Iterations: spec.Iterations,
 		Nodes: spec.Nodes, NDPercent: spec.NDPercent, Runs: q.Runs,
@@ -146,32 +138,12 @@ func startCell(ctx context.Context, q *Grid, spec CellSpec, stream bool, archive
 	e.Runs = q.Runs
 	e.BaseSeed = q.BaseSeed
 	e.CaptureStacks = q.CaptureStacks
-	k := q.Kernel
-	var err error
-	if stream {
-		e.Codec = codec
-		dir := ""
-		if archiveDir != "" {
-			dir = filepath.Join(archiveDir, q.CellFingerprint(spec).String())
-		}
-		var srs *core.StreamRunSet
-		c.sample, srs, err = e.StartStream(ctx, k, dir)
-		c.reduce = func(cell *Cell) {
-			cell.Summary = srs.DistanceSummary()
-			cell.DistinctStructures = srs.DistinctStructures()
-		}
-	} else {
-		var rs *core.RunSet
-		c.sample, rs, err = e.Start(ctx)
-		c.reduce = func(cell *Cell) {
-			// DistanceSummary routes through the run set's embedding
-			// cache, so a future per-cell root-source pass would reuse
-			// these embeddings.
-			cell.Summary = rs.DistanceSummary(k)
-			cell.DistinctStructures = rs.DistinctStructures()
-		}
+	e.Codec = codec
+	dir := ""
+	if archiveDir != "" {
+		dir = filepath.Join(archiveDir, q.CellFingerprint(spec).String())
 	}
-	c.cell.Err = err
+	c.sample, c.runs, c.cell.Err = e.StartEmbedded(ctx, q.Kernel, dir)
 	return c
 }
 
@@ -184,14 +156,14 @@ func (c *cellRun) run(i int) {
 }
 
 // finish ends the cell once every run has returned: it reduces the
-// runs to the cell's summary, or records why they failed, and releases
-// the sample's scratch space.
+// runs' embeddings to the cell's summary, or records why they failed.
 func (c *cellRun) finish() Cell {
 	if c.sample != nil {
 		if err := c.sample.Finish(); err != nil {
 			c.cell.Err = err
 		} else {
-			c.reduce(&c.cell)
+			c.cell.Summary = c.runs.DistanceSummary()
+			c.cell.DistinctStructures = c.runs.DistinctStructures()
 		}
 	}
 	return c.cell

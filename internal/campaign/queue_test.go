@@ -14,12 +14,12 @@ import (
 
 // TestRunnerReleasesCellsInCellMajorOrder pins the queue's dispatch
 // order and its release point. Cells start in cell-major order and
-// each is released (embeddings, order hashes, stats and scratch
-// directory) by the run that completes its countdown, so at most
-// Workers+1 cells ever hold run state: Workers cells with a run in
-// flight, plus the next cell whose first runs were just claimed. A
-// run-major queue, or a release deferred to the end of the grid, holds
-// every cell at once.
+// each is released (embeddings, order hashes and stats) by the run
+// that completes its countdown, so at most Workers+1 cells ever hold
+// run state: Workers cells with a run in flight, plus the next cell
+// whose first runs were just claimed. A run-major queue, or a release
+// deferred to the end of the grid, holds every cell at once. Archived
+// or not, no cell creates anything in the temporary directory.
 func TestRunnerReleasesCellsInCellMajorOrder(t *testing.T) {
 	g := smallGrid()
 	g.NDPercents = []float64{0, 50, 100}
@@ -27,7 +27,11 @@ func TestRunnerReleasesCellsInCellMajorOrder(t *testing.T) {
 	scratch := t.TempDir()
 	t.Setenv("TMPDIR", scratch)
 	for _, workers := range []int{1, 2, 4} {
-		for _, stream := range []bool{false, true} {
+		for _, archived := range []bool{false, true} {
+			r := &Runner{Workers: workers}
+			if archived {
+				r.ArchiveDir = t.TempDir()
+			}
 			var (
 				mu                 sync.Mutex
 				open, peak, starts int
@@ -45,25 +49,25 @@ func TestRunnerReleasesCellsInCellMajorOrder(t *testing.T) {
 					peakDirs = max(peakDirs, len(dirs))
 				}
 			}
-			_, err := (&Runner{Workers: workers, Stream: stream}).Run(context.Background(), g)
+			_, err := r.Run(context.Background(), g)
 			runStateHook = nil
 			if err != nil {
-				t.Fatalf("workers=%d stream=%v: %v", workers, stream, err)
+				t.Fatalf("workers=%d archived=%v: %v", workers, archived, err)
 			}
 			if starts != cells || open != 0 {
-				t.Errorf("workers=%d stream=%v: %d cells started, %d still hold run state; want %d and 0",
-					workers, stream, starts, open, cells)
+				t.Errorf("workers=%d archived=%v: %d cells started, %d still hold run state; want %d and 0",
+					workers, archived, starts, open, cells)
 			}
 			if peak > workers+1 {
-				t.Errorf("workers=%d stream=%v: %d cells held run state at once, want <= %d",
-					workers, stream, peak, workers+1)
+				t.Errorf("workers=%d archived=%v: %d cells held run state at once, want <= %d",
+					workers, archived, peak, workers+1)
 			}
-			if peakDirs > workers+1 {
-				t.Errorf("workers=%d stream=%v: %d scratch dirs at once, want <= %d",
-					workers, stream, peakDirs, workers+1)
+			if peakDirs > 0 {
+				t.Errorf("workers=%d archived=%v: %d entries in TMPDIR while cells ran, want none",
+					workers, archived, peakDirs)
 			}
 			if left, _ := os.ReadDir(scratch); len(left) > 0 {
-				t.Errorf("workers=%d stream=%v: %d scratch dirs left behind", workers, stream, len(left))
+				t.Errorf("workers=%d archived=%v: %d entries left in TMPDIR", workers, archived, len(left))
 			}
 		}
 	}
@@ -141,26 +145,29 @@ func TestRunnerCancelledKeepsOnlyCompleteCells(t *testing.T) {
 		want[c.key()] = c
 	}
 	for _, workers := range []int{1, 2, 4} {
-		for _, stream := range []bool{false, true} {
+		for _, archived := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
 			reported := 0
-			r := &Runner{Workers: workers, Stream: stream, Progress: func(Progress) {
+			r := &Runner{Workers: workers, Progress: func(Progress) {
 				reported++
 				cancel()
 			}}
+			if archived {
+				r.ArchiveDir = t.TempDir()
+			}
 			res, err := r.Run(ctx, g)
 			cancel()
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d stream=%v: err = %v, want context.Canceled", workers, stream, err)
+				t.Fatalf("workers=%d archived=%v: err = %v, want context.Canceled", workers, archived, err)
 			}
 			if len(res.Cells) != reported || reported == 0 || reported >= g.Cells() {
-				t.Errorf("workers=%d stream=%v: %d cells kept, %d reported, grid of %d",
-					workers, stream, len(res.Cells), reported, g.Cells())
+				t.Errorf("workers=%d archived=%v: %d cells kept, %d reported, grid of %d",
+					workers, archived, len(res.Cells), reported, g.Cells())
 			}
 			for _, c := range res.Cells {
 				if !reflect.DeepEqual(c, want[c.key()]) {
-					t.Errorf("workers=%d stream=%v: kept cell %s = %+v, want %+v",
-						workers, stream, c.key(), c, want[c.key()])
+					t.Errorf("workers=%d archived=%v: kept cell %s = %+v, want %+v",
+						workers, archived, c.key(), c, want[c.key()])
 				}
 			}
 		}

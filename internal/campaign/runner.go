@@ -40,10 +40,12 @@ type Progress struct {
 // Every (cell, run) pair of the grid is one item of a single queue,
 // dispatched in cell-major order (all runs of cell 0, then cell 1, …)
 // to Workers goroutines. A cell starts when its first run is
-// dispatched; the run that completes a cell's countdown reduces the
-// cell, releases its run state and reports it to Progress. So no core
-// idles while the grid's last cell runs, and only about Workers cells
-// hold run state at a time. Each cell's runs share a context of their
+// dispatched. Each run reduces to its embedding and order hash inside
+// the run, keeping neither trace nor graph; the run that completes a
+// cell's countdown reduces the cell's embeddings to its summary,
+// releases its run state and reports it to Progress. So no core idles
+// while the grid's last cell runs, and only about Workers cells hold
+// run state (one embedding per run) at a time. Each cell's runs share a context of their
 // own: a failed run cancels its cell's remaining runs, never another
 // cell's.
 //
@@ -58,17 +60,14 @@ type Runner struct {
 	Workers int
 	// Progress, when non-nil, observes every completed cell.
 	Progress func(Progress)
-	// Stream routes cells through the streaming pipeline (as RunCellStream):
-	// runs simulate straight into v2 trace files and are embedded by
-	// streaming them back, holding per-cell memory flat in run length.
-	// Cell results are byte-identical to the materializing path.
-	Stream bool
 	// ArchiveDir, when non-empty, archives every run's v2 trace under
-	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr and implies Stream.
+	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr (as RunCellArchive).
+	// Without it, each run reduces to its embedding in memory and
+	// writes no file. Cell results are byte-identical either way.
 	ArchiveDir string
-	// Codec tunes archived-trace compression on the streaming path: its
-	// one option is the DEFLATE level (zero is the v2 format default).
-	// Each run compresses inline on the goroutine that simulates it.
+	// Codec tunes archived-trace compression: its one option is the
+	// DEFLATE level (zero is the v2 format default). Each run compresses
+	// inline on the goroutine that simulates it.
 	Codec trace.CodecOptions
 }
 
@@ -101,7 +100,6 @@ func (r *Runner) Run(ctx context.Context, g Grid) (*Result, error) {
 	}
 	specs := q.CellSpecs()
 	runs := q.Runs
-	stream := r.Stream || r.ArchiveDir != ""
 	cells := make([]gridCell, len(specs))
 	for c := range cells {
 		cells[c].left.Store(int64(runs))
@@ -117,7 +115,7 @@ func (r *Runner) Run(ctx context.Context, g Grid) (*Result, error) {
 				return // a cancelled grid starts no more cells
 			}
 			gc.start = time.Now()
-			gc.run = startCell(ctx, &q, specs[item/runs], stream, r.ArchiveDir, r.Codec)
+			gc.run = startCell(ctx, &q, specs[item/runs], r.ArchiveDir, r.Codec)
 			if runStateHook != nil {
 				runStateHook(1)
 			}

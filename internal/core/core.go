@@ -52,20 +52,20 @@ type Experiment struct {
 	// CaptureStacks records callstacks on every event; required for
 	// root-source analysis, skippable for pure distance measurements.
 	CaptureStacks bool
-	// Workers caps how many runs ExecuteContext and
-	// ExecuteStreamContext execute at once (0 = GOMAXPROCS). Batch
-	// layers that schedule runs themselves, like the campaign Runner's
-	// grid queue, drive a Sample instead and do not use it.
+	// Workers caps how many runs ExecuteContext executes at once
+	// (0 = GOMAXPROCS). Campaign cells schedule runs themselves (the
+	// Runner's grid queue, RunCell's own pool) and drive the Sample of
+	// StartEmbedded instead, so they do not use it.
 	Workers int
 	// Net optionally overrides the network model (zero = sim.DefaultNet).
 	Net sim.NetModel
 	// Replay optionally pins receives to a recorded schedule.
 	Replay *sim.Schedule
-	// Codec tunes archived-trace compression on the streaming path;
-	// ignored unless the experiment streams to an archive. Its one
-	// option is the DEFLATE level (zero is the v2 format default). Each
-	// run compresses inline on the goroutine that runs it, since the
-	// runs are already spread over the cores.
+	// Codec tunes archived-trace compression; ignored unless
+	// StartEmbedded archives the runs. Its one option is the DEFLATE
+	// level (zero is the v2 format default). Each run compresses inline
+	// on the goroutine that runs it, since the runs are already spread
+	// over the cores.
 	Codec trace.CodecOptions
 }
 
@@ -140,7 +140,10 @@ func (e *Experiment) Validate() error {
 	return nil
 }
 
-// RunSet holds the sampled executions of one experiment.
+// RunSet holds the sampled executions of one experiment, every run's
+// trace and graph included, for the analyses that need more than a
+// distance sample: the figures, root sources, and visualizations.
+// Campaign cells reduce their runs to an EmbeddedRunSet instead.
 type RunSet struct {
 	Experiment Experiment
 	// Traces[i] is run i's trace (seed BaseSeed+i).
@@ -189,28 +192,10 @@ var executeRunHook func(runIndex int)
 // lost a member is going to be discarded, so finishing it is waste —
 // and the first recorded failure is returned.
 func (e Experiment) ExecuteContext(ctx context.Context) (*RunSet, error) {
-	s, rs, err := e.Start(ctx)
-	if err != nil {
-		return nil, err
-	}
-	par.ForEach(e.Workers, e.Runs, s.Run)
-	if err := s.Finish(); err != nil {
-		return nil, err
-	}
-	return rs, nil
-}
-
-// Start resolves the experiment for execution and returns its Sample
-// together with the run set that the sample's runs fill: run i
-// simulates with seed BaseSeed+i and builds its event graph into slot
-// i. ExecuteContext is Start, every run on e.Workers goroutines, and
-// Finish.
-func (e Experiment) Start(ctx context.Context) (*Sample, *RunSet, error) {
 	pat, program, err := e.program()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	meta := trace.Meta{Pattern: e.Pattern, Iterations: e.Iterations, MsgSize: e.MsgSize}
 	rs := &RunSet{
 		Experiment: e,
 		Traces:     make([]*trace.Trace, e.Runs),
@@ -218,18 +203,41 @@ func (e Experiment) Start(ctx context.Context) (*Sample, *RunSet, error) {
 		Stats:      make([]*sim.Stats, e.Runs),
 	}
 	s := newSample(ctx, func(ctx context.Context, i int) error {
-		tr, stats, err := sim.RunContext(ctx, e.config(i, pat), meta, program)
-		if err != nil {
-			return err
-		}
-		g, err := graph.FromTrace(tr)
+		tr, g, stats, err := e.materialize(ctx, i, pat, program)
 		if err != nil {
 			return err
 		}
 		rs.Traces[i], rs.Graphs[i], rs.Stats[i] = tr, g, stats
 		return nil
-	}, nil)
-	return s, rs, nil
+	})
+	par.ForEach(e.Workers, e.Runs, s.Run)
+	if err := s.Finish(); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// materialize simulates run i in memory and builds its event graph.
+func (e *Experiment) materialize(ctx context.Context, i int, pat patterns.Pattern, program sim.Program) (*trace.Trace, *graph.Graph, *sim.Stats, error) {
+	tr, stats, err := sim.RunContext(ctx, e.config(i, pat), e.meta(i), program)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	g, err := graph.FromTrace(tr)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tr, g, stats, nil
+}
+
+// meta is the trace metadata of run i, the same whether the run is
+// kept, reduced in memory, or archived.
+func (e *Experiment) meta(i int) trace.Meta {
+	return trace.Meta{
+		Pattern: e.Pattern, Iterations: e.Iterations, MsgSize: e.MsgSize,
+		Procs: e.Procs, Nodes: e.Nodes, NDPercent: e.NDPercent,
+		Seed: e.BaseSeed + int64(i),
+	}
 }
 
 // program resolves the experiment's pattern and builds its simulator
@@ -252,31 +260,29 @@ func (e *Experiment) program() (patterns.Pattern, sim.Program, error) {
 // Sample is one experiment's sample in execution. Run(i) executes run i
 // and writes its result to slot i of the sample's run set, so runs may
 // execute in any order, on any goroutines, and interleaved with other
-// samples' runs: ExecuteContext and ExecuteStreamContext drive one
-// Sample from a run pool, and the campaign Runner drives every cell's
-// Sample from one grid-wide queue. A run therefore has one
-// implementation, whoever schedules it.
+// samples' runs: ExecuteContext drives one Sample from its run pool,
+// RunCell drives a StartEmbedded Sample from its own, and the campaign
+// Runner drives every cell's Sample from one grid-wide queue. A run
+// therefore has one implementation, whoever schedules it.
 //
 // Runs execute under a context derived from the one the sample was
 // started with. The first failing run cancels it, so a failure aborts
 // the sample's in-flight runs and skips the rest, and never reaches
 // another sample.
 type Sample struct {
-	parent  context.Context
-	ctx     context.Context
-	cancel  context.CancelFunc
-	run     func(ctx context.Context, i int) error
-	cleanup func()
+	parent context.Context
+	ctx    context.Context
+	cancel context.CancelFunc
+	run    func(ctx context.Context, i int) error
 
 	errOnce sync.Once
 	err     error       // the first failure
 	cut     atomic.Bool // some run was skipped or cancelled
 }
 
-// newSample returns a sample whose runs call run. cleanup, when
-// non-nil, runs in Finish.
-func newSample(ctx context.Context, run func(ctx context.Context, i int) error, cleanup func()) *Sample {
-	s := &Sample{parent: ctx, run: run, cleanup: cleanup}
+// newSample returns a sample whose runs call run.
+func newSample(ctx context.Context, run func(ctx context.Context, i int) error) *Sample {
+	s := &Sample{parent: ctx, run: run}
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	return s
 }
@@ -310,14 +316,11 @@ func (s *Sample) Run(i int) {
 }
 
 // Finish ends the sample once every Run call has returned. It releases
-// the sample's context and scratch space and reports the outcome: nil
-// when every run completed, the first failure, or, when the context
-// ended before every run completed, an error wrapping ctx.Err().
+// the sample's context and reports the outcome: nil when every run
+// completed, the first failure, or, when the context ended before
+// every run completed, an error wrapping ctx.Err().
 func (s *Sample) Finish() error {
 	s.cancel()
-	if s.cleanup != nil {
-		s.cleanup()
-	}
 	if s.err != nil {
 		return s.err
 	}

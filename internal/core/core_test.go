@@ -92,16 +92,20 @@ func TestExecuteShortCircuitsOnFailure(t *testing.T) {
 	// panics a rank immediately). The run pool must stop dispatching
 	// once the first failure is recorded instead of burning through the
 	// whole sample: with W workers, at most the in-flight runs plus a
-	// small dispatch margin may start, never all of them. Both the
-	// materializing and the streaming path share the pool.
+	// small dispatch margin may start, never all of them. ExecuteContext
+	// and embedded samples, archived or not, share the Sample.
 	e := DefaultExperiment("message_race", 4, 100)
 	e.Runs = 64
 	e.Workers = 2
 	e.Replay = &sim.Schedule{PerRank: make([][]sim.MatchKey, 4)}
 	execs := map[string]func() error{
 		"materializing": func() error { _, err := e.Execute(); return err },
-		"streaming": func() error {
-			_, err := e.ExecuteStreamContext(context.Background(), nil, "")
+		"embedded": func() error {
+			_, err := executeEmbedded(context.Background(), e, nil, "")
+			return err
+		},
+		"archived": func() error {
+			_, err := executeEmbedded(context.Background(), e, nil, t.TempDir())
 			return err
 		},
 	}
@@ -122,9 +126,9 @@ func TestExecuteShortCircuitsOnFailure(t *testing.T) {
 }
 
 // TestSampleRunsInAnyOrder drives a Sample the way a grid queue does:
-// runs in an order of the caller's choosing, then Finish. The run set
-// must equal Execute's, and a sample whose every run completed is a
-// result even if its context ends before Finish.
+// runs in an order of the caller's choosing, then Finish. The reduced
+// runs must equal Execute's run set, and a sample whose every run
+// completed is a result even if its context ends before Finish.
 func TestSampleRunsInAnyOrder(t *testing.T) {
 	e := DefaultExperiment("unstructured_mesh", 8, 100)
 	e.Runs = 5
@@ -132,8 +136,9 @@ func TestSampleRunsInAnyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := kernel.NewWL(2)
 	ctx, cancel := context.WithCancel(context.Background())
-	s, rs, err := e.Start(ctx)
+	s, ers, err := e.StartEmbedded(ctx, k, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +150,7 @@ func TestSampleRunsInAnyOrder(t *testing.T) {
 		t.Fatalf("completed sample: Finish = %v", err)
 	}
 	for i := range want.Traces {
-		if rs.Traces[i].Hash() != want.Traces[i].Hash() {
+		if ers.OrderHashes[i] != want.Traces[i].OrderHash() || !reflect.DeepEqual(ers.Features[i], k.Features(want.Graphs[i])) {
 			t.Errorf("run %d differs from Execute's", i)
 		}
 	}

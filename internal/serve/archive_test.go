@@ -2,78 +2,84 @@ package serve
 
 import (
 	"context"
-	"sync/atomic"
+	"os"
+	"sync"
 	"testing"
 
 	"github.com/anacin-go/anacinx/internal/campaign"
 	"github.com/anacin-go/anacinx/internal/trace"
 )
 
-// swapRunCellStream overrides the streaming cell executor for the
-// duration of a test. Like swapRunCell, callers must not run in
-// parallel (package-global state).
-func swapRunCellStream(t *testing.T, fn func(context.Context, campaign.Grid, campaign.CellSpec, int, string, trace.CodecOptions) campaign.Cell) {
+// recordArchiveDirs overrides the cell executor with fake cells and
+// returns the archive directory each cell was computed with. Like
+// swapRunCell, callers must not run in parallel (package-global state).
+func recordArchiveDirs(t *testing.T) func() []string {
 	t.Helper()
-	old := runCellStreamFn
-	runCellStreamFn = fn
-	t.Cleanup(func() { runCellStreamFn = old })
+	var mu sync.Mutex
+	var dirs []string
+	old := runCellFn
+	runCellFn = func(_ context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, dir string, _ trace.CodecOptions) campaign.Cell {
+		mu.Lock()
+		defer mu.Unlock()
+		dirs = append(dirs, dir)
+		return fakeCell(g, spec)
+	}
+	t.Cleanup(func() { runCellFn = old })
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), dirs...)
+	}
 }
 
 // TestArchiveDirRoutesCellsThroughStreaming pins the serve wiring: a
-// server configured with ArchiveDir resolves every cell through the
-// streaming/archiving executor (passing the configured directory), and
-// never the materializing one.
+// server configured with ArchiveDir computes every cell with the
+// configured directory, so each run streams into its archive.
 func TestArchiveDirRoutesCellsThroughStreaming(t *testing.T) {
-	var streamed, materialized atomic.Int64
-	var gotDir atomic.Value
-	swapRunCell(t, func(_ context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
-		materialized.Add(1)
-		return fakeCell(g, spec)
-	})
-	swapRunCellStream(t, func(_ context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, dir string, _ trace.CodecOptions) campaign.Cell {
-		streamed.Add(1)
-		gotDir.Store(dir)
-		return fakeCell(g, spec)
-	})
-
+	dirs := recordArchiveDirs(t)
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{MaxCells: 8, MaxRuns: 10, ArchiveDir: dir})
 	v := submit(t, ts, smallBody)
 	waitStatus(t, ts, v.ID, StatusDone)
 
-	if streamed.Load() != int64(v.Total) {
-		t.Errorf("streaming executor ran %d cells, want %d", streamed.Load(), v.Total)
+	got := dirs()
+	if len(got) != v.Total {
+		t.Errorf("executor ran %d cells, want %d", len(got), v.Total)
 	}
-	if materialized.Load() != 0 {
-		t.Errorf("materializing executor ran %d cells, want 0", materialized.Load())
-	}
-	if got, _ := gotDir.Load().(string); got != dir {
-		t.Errorf("streaming executor got archive dir %q, want %q", got, dir)
+	for _, d := range got {
+		if d != dir {
+			t.Errorf("cell computed with archive dir %q, want %q", d, dir)
+		}
 	}
 }
 
-// TestNoArchiveDirKeepsMaterializingPath pins the default: without
-// ArchiveDir the registry uses the materializing executor, so existing
-// deployments see no behavior change.
-func TestNoArchiveDirKeepsMaterializingPath(t *testing.T) {
-	var streamed, materialized atomic.Int64
-	swapRunCell(t, func(_ context.Context, g campaign.Grid, spec campaign.CellSpec, _ int) campaign.Cell {
-		materialized.Add(1)
-		return fakeCell(g, spec)
+// TestNoArchiveDirWritesNoTraces pins the default: without ArchiveDir
+// every cell is computed with no archive directory, and real cells
+// then create nothing, not even in the temporary directory.
+func TestNoArchiveDirWritesNoTraces(t *testing.T) {
+	t.Run("wiring", func(t *testing.T) {
+		dirs := recordArchiveDirs(t)
+		_, ts := newTestServer(t, Config{MaxCells: 8, MaxRuns: 10})
+		v := submit(t, ts, smallBody)
+		waitStatus(t, ts, v.ID, StatusDone)
+		got := dirs()
+		if len(got) != v.Total {
+			t.Errorf("executor ran %d cells, want %d", len(got), v.Total)
+		}
+		for _, d := range got {
+			if d != "" {
+				t.Errorf("cell computed with archive dir %q, want none", d)
+			}
+		}
 	})
-	swapRunCellStream(t, func(_ context.Context, g campaign.Grid, spec campaign.CellSpec, _ int, _ string, _ trace.CodecOptions) campaign.Cell {
-		streamed.Add(1)
-		return fakeCell(g, spec)
+	t.Run("real cells", func(t *testing.T) {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		_, ts := newTestServer(t, Config{MaxCells: 8, MaxRuns: 10})
+		v := submit(t, ts, smallBody)
+		waitStatus(t, ts, v.ID, StatusDone)
+		if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+			t.Errorf("unarchived cells left %d entries in TMPDIR (err %v)", len(left), err)
+		}
 	})
-
-	_, ts := newTestServer(t, Config{MaxCells: 8, MaxRuns: 10})
-	v := submit(t, ts, smallBody)
-	waitStatus(t, ts, v.ID, StatusDone)
-
-	if materialized.Load() != int64(v.Total) {
-		t.Errorf("materializing executor ran %d cells, want %d", materialized.Load(), v.Total)
-	}
-	if streamed.Load() != 0 {
-		t.Errorf("streaming executor ran %d cells, want 0", streamed.Load())
-	}
 }

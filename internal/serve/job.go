@@ -28,12 +28,9 @@ const (
 // server finishes in-flight jobs but admits no new ones.
 var ErrDraining = errors.New("serve: draining, not accepting new campaigns")
 
-// runCellFn indirects campaign.RunCell so tests can substitute slow,
-// blocking, or instrumented cells without simulating.
-var runCellFn = campaign.RunCell
-
-// runCellStreamFn likewise indirects the streaming/archiving path.
-var runCellStreamFn = campaign.RunCellStream
+// runCellFn indirects campaign.RunCellArchive so tests can substitute
+// slow, blocking, or instrumented cells without simulating.
+var runCellFn = campaign.RunCellArchive
 
 // SummaryView is analysis.Summary with wire-friendly field names.
 type SummaryView struct {
@@ -212,19 +209,13 @@ type Registry struct {
 // cellWorkers caps concurrent cells per job; simWorkers caps cell
 // computations in flight across all jobs, each running up to
 // max(1, GOMAXPROCS / cells in flight in its job) simulations (both
-// default to GOMAXPROCS).
-func NewRegistry(store *Store, cellWorkers, simWorkers int) *Registry {
-	return NewRegistryArchive(store, cellWorkers, simWorkers, "", trace.CodecOptions{})
-}
-
-// NewRegistryArchive is NewRegistry with trace archiving: when
-// archiveDir is non-empty, cells run through the streaming pipeline and
-// every run's v2 trace is kept under
-// <archiveDir>/<cell-fingerprint>/run-<i>.anctr, replayable with
-// `anacin replay`. Cell results are byte-identical either way. codec
-// sets the archived traces' DEFLATE level (zero = the v2 format
-// default); runs compress inline.
-func NewRegistryArchive(store *Store, cellWorkers, simWorkers int, archiveDir string, codec trace.CodecOptions) *Registry {
+// default to GOMAXPROCS). When archiveDir is non-empty, every run's v2
+// trace is kept under <archiveDir>/<cell-fingerprint>/run-<i>.anctr,
+// replayable with `anacin replay`; otherwise runs write no file. Cell
+// results are byte-identical either way. codec sets the archived
+// traces' DEFLATE level (zero = the v2 format default); runs compress
+// inline.
+func NewRegistry(store *Store, cellWorkers, simWorkers int, archiveDir string, codec trace.CodecOptions) *Registry {
 	if simWorkers < 1 {
 		simWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -411,10 +402,7 @@ func (j *Job) runCell(ctx context.Context, r *Registry, idx, runWorkers int) {
 				NDPercent: spec.NDPercent, Runs: j.grid.Runs, Err: cctx.Err()}
 		}
 		defer func() { <-r.simSlots }()
-		if r.archiveDir != "" {
-			return runCellStreamFn(cctx, j.grid, spec, runWorkers, r.archiveDir, r.codec)
-		}
-		return runCellFn(cctx, j.grid, spec, runWorkers)
+		return runCellFn(cctx, j.grid, spec, runWorkers, r.archiveDir, r.codec)
 	})
 	if err != nil {
 		// Our job was cancelled; the terminal event reports it.

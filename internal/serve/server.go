@@ -30,11 +30,12 @@ type Config struct {
 	MaxRuns int
 	// MaxBodyBytes caps the request body (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// ArchiveDir, when non-empty, runs cells through the streaming
-	// pipeline and archives every run's v2 binary trace under
-	// <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr. The archive is the
-	// durable counterpart of the in-memory result store: any archived
-	// cell can be re-derived offline with `anacin replay`.
+	// ArchiveDir, when non-empty, archives every run's v2 binary trace
+	// under <ArchiveDir>/<cell-fingerprint>/run-<i>.anctr, and each run
+	// is embedded from its file. The archive is the durable counterpart
+	// of the in-memory result store: any archived cell can be
+	// re-derived offline with `anacin replay`. Without it, runs reduce
+	// in memory and write no file; results are identical either way.
 	ArchiveDir string
 	// Codec tunes archived-trace compression: its one option is the
 	// DEFLATE level (zero is the v2 format default). Each run compresses
@@ -80,7 +81,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		store:    store,
-		registry: NewRegistryArchive(store, cfg.CellWorkers, cfg.SimWorkers, cfg.ArchiveDir, cfg.Codec),
+		registry: NewRegistry(store, cfg.CellWorkers, cfg.SimWorkers, cfg.ArchiveDir, cfg.Codec),
 		mux:      http.NewServeMux(),
 		started:  time.Now(),
 	}

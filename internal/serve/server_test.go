@@ -17,6 +17,7 @@ import (
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/campaign"
+	"github.com/anacin-go/anacinx/internal/trace"
 )
 
 // newQuietLogger routes server log lines to the test log (shown only
@@ -65,12 +66,15 @@ func fakeCell(g campaign.Grid, spec campaign.CellSpec) campaign.Cell {
 	}
 }
 
-// swapRunCell overrides the cell executor for the duration of a test.
-// Tests that call it must not run in parallel (package-global state).
+// swapRunCell overrides the cell executor for the duration of a test;
+// fn sees every argument but the archive settings. Tests that call it
+// must not run in parallel (package-global state).
 func swapRunCell(t *testing.T, fn func(context.Context, campaign.Grid, campaign.CellSpec, int) campaign.Cell) {
 	t.Helper()
 	old := runCellFn
-	runCellFn = fn
+	runCellFn = func(ctx context.Context, g campaign.Grid, spec campaign.CellSpec, runWorkers int, _ string, _ trace.CodecOptions) campaign.Cell {
+		return fn(ctx, g, spec, runWorkers)
+	}
 	t.Cleanup(func() { runCellFn = old })
 }
 

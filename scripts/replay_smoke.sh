@@ -3,8 +3,8 @@
 #
 # Builds the CLI with the race detector, runs a small campaign twice —
 # once plain, once with -archive — and requires byte-identical CSV
-# results, so the streaming sim→v2-encode→graph→features path provably
-# matches the materializing one. Then replays the archive with
+# results, so the archived sim→v2-encode→graph→features path provably
+# matches the in-memory one. Then replays the archive with
 # `anacin replay` twice and requires byte-identical reports (order
 # hashes, distinct-structure counts, distance statistics are all
 # re-derived from the stored v2 traces alone), and runs
