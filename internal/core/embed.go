@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"github.com/anacin-go/anacinx/internal/analysis"
+	"github.com/anacin-go/anacinx/internal/graph"
 	"github.com/anacin-go/anacinx/internal/kernel"
 	"github.com/anacin-go/anacinx/internal/patterns"
 	"github.com/anacin-go/anacinx/internal/sim"
@@ -19,13 +20,17 @@ import (
 // past the run. A campaign cell therefore holds one embedding per run,
 // whatever the run length. Without an archive a run reduces in memory
 // (sim → *Trace → *Graph → features) and writes no file. With one, the
-// run simulates straight into a v2 trace file (sim.Config.Sink →
-// trace.StreamWriter) and embeds by streaming the file back through a
-// trace.Reader, so no full *trace.Trace or *graph.Graph exists: its
-// peak memory is the encoder's column buffers plus the kernel's
-// refinement window. Either way the embeddings, order hashes, and every
-// distance derived from them are byte-identical to the RunSet of
-// ExecuteContext (pinned by tests).
+// run is one simulation pass whose events are teed (sim.Config.Sink)
+// into a v2 trace file (trace.StreamWriter) and, under a streaming
+// kernel, into the kernel's push stream (kernel.WLStream), so no full
+// *trace.Trace or *graph.Graph exists and the archive is never decoded
+// to embed it: the run's peak memory is the encoder's column buffers
+// plus the kernel's refinement window. The order hash is then one
+// Reader.OrderHash pass over the closed file. Under a kernel that
+// cannot stream, an archived run tees into an in-memory *trace.Trace
+// instead and reduces it as an unarchived run does. Either way the
+// embeddings, order hashes, and every distance derived from them are
+// byte-identical to the RunSet of ExecuteContext (pinned by tests).
 
 // EmbeddedRunSet holds the reduced runs of one experiment: embeddings
 // instead of graphs, order hashes instead of traces.
@@ -51,7 +56,8 @@ type EmbeddedRunSet struct {
 // (nil = WL depth 2), order hash and stats in slot i. When archiveDir
 // is non-empty (it is created here), run i streams into
 // <archiveDir>/run-<i>.anctr, recorded in TracePaths, and is embedded
-// from that file; otherwise it reduces in memory and writes no file.
+// from the same simulation pass; otherwise it reduces in memory and
+// writes no file.
 func (e Experiment) StartEmbedded(ctx context.Context, k kernel.Kernel, archiveDir string) (*Sample, *EmbeddedRunSet, error) {
 	if k == nil {
 		k = kernel.NewWL(2)
@@ -84,15 +90,33 @@ func (e Experiment) StartEmbedded(ctx context.Context, k kernel.Kernel, archiveD
 			return nil
 		}
 		path := filepath.Join(archiveDir, fmt.Sprintf("run-%d.anctr", i))
-		stats, err := e.streamRun(ctx, i, pat, program, path)
-		if err != nil {
-			return err
+		if sk, ok := k.(kernel.StreamingKernel); ok {
+			ws := sk.NewStream(e.Procs)
+			stats, err := e.streamRun(ctx, i, pat, program, path, ws)
+			if err != nil {
+				return err
+			}
+			fv, err := ws.Finish()
+			if err != nil {
+				return err
+			}
+			oh, err := orderHashFile(path)
+			if err != nil {
+				return err
+			}
+			ers.Features[i], ers.OrderHashes[i], ers.Stats[i] = fv, oh, stats
+		} else {
+			tr := trace.NewWithCapacity(e.meta(i), e.config(i, pat).EventsPerRankHint)
+			stats, err := e.streamRun(ctx, i, pat, program, path, tr)
+			if err != nil {
+				return err
+			}
+			g, err := graph.FromTrace(tr)
+			if err != nil {
+				return err
+			}
+			ers.Features[i], ers.OrderHashes[i], ers.Stats[i] = k.Features(g), tr.OrderHash(), stats
 		}
-		fv, oh, err := embedTraceFile(k, path)
-		if err != nil {
-			return err
-		}
-		ers.Features[i], ers.OrderHashes[i], ers.Stats[i] = fv, oh, stats
 		ers.TracePaths[i] = path
 		return nil
 	})
@@ -100,10 +124,11 @@ func (e Experiment) StartEmbedded(ctx context.Context, k kernel.Kernel, archiveD
 }
 
 // streamRun simulates run i with its events streaming into a v2 trace
-// file at path. It compresses inline on the goroutine that runs it, so
-// whatever schedules the runs is the one level of parallelism and a
-// failed run leaves no codec goroutine behind.
-func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string) (*sim.Stats, error) {
+// file at path and, when tee is non-nil, into tee as well (in the same
+// scheduler order). It compresses inline on the goroutine that runs
+// it, so whatever schedules the runs is the one level of parallelism
+// and a failed run leaves no codec goroutine behind.
+func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string, tee trace.EventSink) (*sim.Stats, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -118,6 +143,9 @@ func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern,
 	cfg := e.config(i, pat)
 	sw := trace.NewStreamWriterOptions(f, meta, e.Codec)
 	cfg.Sink = sw
+	if tee != nil {
+		cfg.Sink = teeSink{sw, tee}
+	}
 	_, stats, err := sim.RunContext(ctx, cfg, meta, program)
 	if err == nil {
 		if err = sw.Close(); err != nil {
@@ -135,23 +163,22 @@ func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern,
 	return stats, nil
 }
 
-// embedTraceFile opens one archived trace and reduces it to its
-// embedding and order hash.
-func embedTraceFile(k kernel.Kernel, path string) (kernel.FeatureVector, uint64, error) {
+// teeSink hands every event to both sinks, in order.
+type teeSink [2]trace.EventSink
+
+func (t teeSink) Append(ev trace.Event) {
+	t[0].Append(ev)
+	t[1].Append(ev)
+}
+
+// orderHashFile returns the order hash of the archived trace at path.
+func orderHashFile(path string) (uint64, error) {
 	r, err := trace.OpenReader(path)
 	if err != nil {
-		return kernel.FeatureVector{}, 0, err
+		return 0, err
 	}
 	defer r.Close()
-	fv, err := kernel.FeaturesFromReader(k, r)
-	if err != nil {
-		return kernel.FeatureVector{}, 0, err
-	}
-	oh, err := r.OrderHash()
-	if err != nil {
-		return kernel.FeatureVector{}, 0, err
-	}
-	return fv, oh, nil
+	return r.OrderHash()
 }
 
 // Distances returns the pairwise kernel-distance sample of the

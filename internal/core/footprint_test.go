@@ -12,11 +12,11 @@ import (
 )
 
 // streamFootprint runs one ring_halo experiment through the real
-// streaming pipeline — simulate into a v2 file, stream it back through
-// a Reader into the WL kernel — and returns the two working-set
-// measures alongside the event count: the kernel's peak refinement
-// window and the file's largest segment (a cursor decodes one segment
-// of columns at a time).
+// one-pass pipeline — simulate, teeing every event into a v2 file and
+// into the WL push stream — and returns the two working-set measures
+// alongside the event count: the kernel's peak refinement window (from
+// the push stream's own stats) and the file's largest segment (a
+// cursor decodes one segment of columns at a time).
 func streamFootprint(t *testing.T, iterations int) (events, maxWindow, maxSegment int) {
 	t.Helper()
 	e := DefaultExperiment("ring_halo", 8, 50)
@@ -31,7 +31,11 @@ func streamFootprint(t *testing.T, iterations int) (events, maxWindow, maxSegmen
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.anctr")
-	if _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path); err != nil {
+	ws := kernel.NewWL(2).NewStream(e.Procs)
+	if _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path, ws); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ws.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := trace.OpenReader(path)
@@ -39,20 +43,20 @@ func streamFootprint(t *testing.T, iterations int) (events, maxWindow, maxSegmen
 		t.Fatal(err)
 	}
 	defer r.Close()
-	_, stats, err := kernel.NewWL(2).FeaturesFromReaderStats(r)
-	if err != nil {
-		t.Fatal(err)
+	if ws.Stats().Events != r.NumEvents() {
+		t.Fatalf("push stream saw %d events, archive holds %d", ws.Stats().Events, r.NumEvents())
 	}
-	return r.NumEvents(), stats.MaxWindow, r.Stats().MaxSegmentEvents
+	return r.NumEvents(), ws.Stats().MaxWindow, r.Stats().MaxSegmentEvents
 }
 
 // TestStreamPipelineFootprintFlat pins the streaming pipeline's memory
 // contract end to end: growing a balanced run 10x in iterations must
 // not grow the pipeline's working set. The simulator never materializes
 // a trace (events stream into the v2 encoder, whose rank buffers flush
-// every segment), a reader cursor holds one decoded segment, and the
-// WL kernel's refinement window retires nodes as receives match — so
-// every stage is bounded by structure, not run length.
+// every segment, and into the WL push stream, whose refinement window
+// retires nodes as receives match), and a reader cursor holds one
+// decoded segment — so every stage is bounded by structure, not run
+// length.
 func TestStreamPipelineFootprintFlat(t *testing.T) {
 	smallEvents, smallWindow, smallSeg := streamFootprint(t, 4)
 	bigEvents, bigWindow, bigSeg := streamFootprint(t, 40)

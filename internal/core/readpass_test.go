@@ -38,7 +38,7 @@ func meshArchive(t testing.TB, iterations int) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.anctr")
-	if _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path); err != nil {
+	if _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -80,8 +80,8 @@ func openCounting(t *testing.T, path string) (*trace.Reader, *countingReaderAt) 
 }
 
 // TestStreamPassesInflateEachBlockOnce pins that every full pass over
-// one Reader — the embedding, then the order hash, as embedTraceFile
-// runs them, then one more — reads the archive's blocks exactly once.
+// one Reader — an embedding, then the order hash, then one more
+// embedding — reads the archive's blocks exactly once.
 // A multi-rank drain block re-inflated per referencing rank on a later
 // pass would read its bytes once per rank instead.
 func TestStreamPassesInflateEachBlockOnce(t *testing.T) {

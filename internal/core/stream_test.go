@@ -34,10 +34,11 @@ func executeEmbedded(ctx context.Context, e Experiment, k kernel.Kernel, archive
 }
 
 // TestExecuteStreamMatchesExecute pins the tentpole equivalence: runs
-// reduced to embeddings, in memory (sim → *Trace → *Graph → WL) or
-// through an archive (sim → v2 file → reader → streaming WL), produce
-// exactly the embeddings, order hashes, and distances of the RunSet
-// that ExecuteContext keeps, at every worker count; and each archived
+// reduced to embeddings, in memory (sim → *Trace → *Graph → kernel) or
+// archived (sim → v2 file, teed into the WL push stream, or into an
+// in-memory *Trace under a kernel that cannot stream), produce exactly
+// the embeddings, order hashes, and distances of the RunSet that
+// ExecuteContext keeps, at every worker count; and each archived
 // v2 file decodes to exactly the trace ExecuteContext materialized.
 // (File bytes legitimately differ from a rank-major WriteBinaryV2 —
 // the callstack dictionary numbers stacks in first-seen order, which
@@ -54,61 +55,62 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := kernel.NewWL(2)
-			for _, workers := range []int{1, 2, 4} {
-				for _, archived := range []bool{false, true} {
-					e := e
-					e.Workers = workers
-					dir := ""
-					if archived {
-						dir = t.TempDir()
-					}
-					at := fmt.Sprintf("workers=%d archived=%v", workers, archived)
-					ers, err := executeEmbedded(context.Background(), e, k, dir)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					if ers.KernelName != k.Name() {
-						t.Errorf("%s: KernelName %q, want %q", at, ers.KernelName, k.Name())
-					}
-					for i := range rs.Traces {
-						if want := k.Features(rs.Graphs[i]); !reflect.DeepEqual(ers.Features[i], want) {
-							t.Errorf("%s: run %d: features differ from the RunSet's", at, i)
+			for _, k := range []kernel.Kernel{kernel.NewWL(2), kernel.VertexHistogram{}} {
+				for _, workers := range []int{1, 2, 4} {
+					for _, archived := range []bool{false, true} {
+						e := e
+						e.Workers = workers
+						dir := ""
+						if archived {
+							dir = t.TempDir()
 						}
-						if want := rs.Traces[i].OrderHash(); ers.OrderHashes[i] != want {
-							t.Errorf("%s: run %d: order hash %#x, want %#x", at, i, ers.OrderHashes[i], want)
-						}
-						if ers.Stats[i] == nil || ers.Stats[i].Events != rs.Stats[i].Events {
-							t.Errorf("%s: run %d: stats events differ", at, i)
-						}
-					}
-					if got, want := ers.Distances(), rs.Distances(k); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: distances differ: %v vs %v", at, got, want)
-					}
-					if got, want := ers.DistanceSummary(), rs.DistanceSummary(k); got != want {
-						t.Errorf("%s: summary %+v, want %+v", at, got, want)
-					}
-					if got, want := ers.DistinctStructures(), rs.DistinctStructures(); got != want {
-						t.Errorf("%s: distinct structures %d, want %d", at, got, want)
-					}
-					if !archived {
-						if ers.TracePaths != nil {
-							t.Errorf("%s: unarchived runs recorded trace paths %v", at, ers.TracePaths)
-						}
-						continue
-					}
-					// The archived file decodes to exactly the live trace.
-					for i := range rs.Traces {
-						want := filepath.Join(dir, fmt.Sprintf("run-%d.anctr", i))
-						if ers.TracePaths[i] != want {
-							t.Fatalf("%s: run %d archived at %q, want %q", at, i, ers.TracePaths[i], want)
-						}
-						decoded, err := trace.LoadBinaryFile(ers.TracePaths[i])
+						at := fmt.Sprintf("%s workers=%d archived=%v", k.Name(), workers, archived)
+						ers, err := executeEmbedded(context.Background(), e, k, dir)
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("%s: %v", at, err)
 						}
-						if decoded.Hash() != rs.Traces[i].Hash() {
-							t.Errorf("%s: run %d: archived trace decodes to a different trace than the live run", at, i)
+						if ers.KernelName != k.Name() {
+							t.Errorf("%s: KernelName %q, want %q", at, ers.KernelName, k.Name())
+						}
+						for i := range rs.Traces {
+							if want := k.Features(rs.Graphs[i]); !reflect.DeepEqual(ers.Features[i], want) {
+								t.Errorf("%s: run %d: features differ from the RunSet's", at, i)
+							}
+							if want := rs.Traces[i].OrderHash(); ers.OrderHashes[i] != want {
+								t.Errorf("%s: run %d: order hash %#x, want %#x", at, i, ers.OrderHashes[i], want)
+							}
+							if ers.Stats[i] == nil || ers.Stats[i].Events != rs.Stats[i].Events {
+								t.Errorf("%s: run %d: stats events differ", at, i)
+							}
+						}
+						if got, want := ers.Distances(), rs.Distances(k); !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: distances differ: %v vs %v", at, got, want)
+						}
+						if got, want := ers.DistanceSummary(), rs.DistanceSummary(k); got != want {
+							t.Errorf("%s: summary %+v, want %+v", at, got, want)
+						}
+						if got, want := ers.DistinctStructures(), rs.DistinctStructures(); got != want {
+							t.Errorf("%s: distinct structures %d, want %d", at, got, want)
+						}
+						if !archived {
+							if ers.TracePaths != nil {
+								t.Errorf("%s: unarchived runs recorded trace paths %v", at, ers.TracePaths)
+							}
+							continue
+						}
+						// The archived file decodes to exactly the live trace.
+						for i := range rs.Traces {
+							want := filepath.Join(dir, fmt.Sprintf("run-%d.anctr", i))
+							if ers.TracePaths[i] != want {
+								t.Fatalf("%s: run %d archived at %q, want %q", at, i, ers.TracePaths[i], want)
+							}
+							decoded, err := trace.LoadBinaryFile(ers.TracePaths[i])
+							if err != nil {
+								t.Fatal(err)
+							}
+							if decoded.Hash() != rs.Traces[i].Hash() {
+								t.Errorf("%s: run %d: archived trace decodes to a different trace than the live run", at, i)
+							}
 						}
 					}
 				}

@@ -19,17 +19,24 @@ import (
 // FeatureVector is byte-identical to WL.Features on the materialized
 // graph (a property the tests pin).
 //
+// A WLStream is pushed its events in any rank interleaving. It has two
+// drivers: a simulation teeing its events into it in scheduler order
+// (an archived campaign run, beside the trace.StreamWriter), and the
+// (time, rank) cursor merge over a v2 trace.Reader (FeaturesFromReader,
+// for replay of an archive).
+//
 // Window growth mirrors message latency: balanced patterns (stencils,
 // meshes) hold a near-constant window, while an eager fan-in like
 // message_race defers every unmatched send to the end of the stream.
 
-// StreamingKernel is a Kernel that can embed a trace directly from a
-// v2 reader without materializing the trace or its graph.
+// StreamingKernel is a Kernel that can embed a trace as its events
+// arrive, without materializing the trace or its graph.
 type StreamingKernel interface {
 	Kernel
-	// FeaturesFromReader computes the same embedding Features produces
-	// on the trace's event graph.
-	FeaturesFromReader(r *trace.Reader) (FeatureVector, error)
+	// NewStream starts a push-driven embedding of a procs-rank trace.
+	// Its Finish returns the same embedding Features produces on the
+	// trace's event graph.
+	NewStream(procs int) *WLStream
 }
 
 // StreamStats describes one streaming embedding pass.
@@ -52,7 +59,7 @@ type StreamStats struct {
 // trace's event graph.
 func FeaturesFromReader(k Kernel, r *trace.Reader) (FeatureVector, error) {
 	if sk, ok := k.(StreamingKernel); ok {
-		return sk.FeaturesFromReader(r)
+		return embedMerged(sk.NewStream(r.Procs()), r)
 	}
 	g, err := graph.FromReader(r)
 	if err != nil {
@@ -61,7 +68,8 @@ func FeaturesFromReader(k Kernel, r *trace.Reader) (FeatureVector, error) {
 	return k.Features(g), nil
 }
 
-// FeaturesFromReader implements StreamingKernel.
+// FeaturesFromReader embeds the trace behind r by streaming it through
+// a WLStream.
 func (w WL) FeaturesFromReader(r *trace.Reader) (FeatureVector, error) {
 	fv, _, err := w.FeaturesFromReaderStats(r)
 	return fv, err
@@ -70,14 +78,20 @@ func (w WL) FeaturesFromReader(r *trace.Reader) (FeatureVector, error) {
 // FeaturesFromReaderStats is FeaturesFromReader plus the pass's
 // windowing statistics (the footprint regression test pins MaxWindow).
 func (w WL) FeaturesFromReaderStats(r *trace.Reader) (FeatureVector, StreamStats, error) {
+	s := w.NewStream(r.Procs())
+	fv, err := embedMerged(s, r)
+	return fv, s.Stats(), err
+}
+
+// NewStream implements StreamingKernel.
+func (w WL) NewStream(procs int) *WLStream {
 	if w.H < 0 {
-		panic(fmt.Sprintf("kernel: WL.FeaturesFromReader called with negative depth H=%d (construct with NewWL, or set H >= 0)", w.H))
+		panic(fmt.Sprintf("kernel: WL.NewStream called with negative depth H=%d (construct with NewWL, or set H >= 0)", w.H))
 	}
-	s := &wlStream{
+	s := &WLStream{
 		w:        w,
-		r:        r,
 		dp:       make([]uint64, w.H+1),
-		windows:  make([]wlWindow, r.Procs()),
+		windows:  make([]wlWindow, procs),
 		inflight: make(map[int64]*wlNode),
 		feats:    make(map[uint64]float64),
 	}
@@ -90,16 +104,7 @@ func (w WL) FeaturesFromReaderStats(r *trace.Reader) (FeatureVector, StreamStats
 	for i := range s.windows {
 		s.windows[i].buf = initial[i*windowSlab : i*windowSlab : (i+1)*windowSlab]
 	}
-	if err := s.run(); err != nil {
-		return FeatureVector{}, s.stats, err
-	}
-	s.stats.DistinctFeatures = len(s.feats)
-	if s.stats.Events == 0 {
-		// Match Features on the empty graph: the literal zero value,
-		// not an allocated empty vector.
-		return FeatureVector{}, s.stats, nil
-	}
-	return FromMap(s.feats), s.stats, nil
+	return s
 }
 
 // wlNode is one buffered event during a streaming pass.
@@ -129,6 +134,8 @@ type wlWindow struct {
 	buf  []*wlNode
 	lo   int
 	head int // seq of buf[lo]
+	// events counts the rank's appended events: the next one's seq.
+	events int
 }
 
 // nodes returns the live window, head first.
@@ -158,10 +165,18 @@ func (w *wlWindow) pop() {
 	w.head++
 }
 
-// wlStream drives one embedding pass.
-type wlStream struct {
+// WLStream is one push-driven streaming WL embedding: Append its
+// trace's events, then Finish. It implements trace.EventSink, so a
+// simulation can feed it directly (sim.Config.Sink), alone or beside a
+// trace.StreamWriter. Events of one rank must arrive in that rank's
+// order; ranks may interleave in any way, which changes only the
+// window size, never the result. Each rank's sequence numbers are
+// assigned here (an event's Seq is ignored), and since the stream
+// cannot know a rank's last event before Finish, every node's hasNext
+// stays provisional until then. Errors are sticky: the first one stops
+// ingest and is returned by Finish.
+type WLStream struct {
 	w        WL
-	r        *trace.Reader
 	dp       []uint64
 	windows  []wlWindow
 	inflight map[int64]*wlNode
@@ -170,14 +185,19 @@ type wlStream struct {
 	neigh    []uint64
 	// free holds released nodes for reuse, so a pass allocates nodes in
 	// proportion to its peak window rather than its event count.
-	free  []*wlNode
-	live  int
-	stats StreamStats
+	free     []*wlNode
+	live     int
+	stats    StreamStats
+	err      error
+	finished bool
 }
 
-func (s *wlStream) addFeat(h uint64) { s.feats[h]++ }
+// Stats returns the pass's windowing statistics so far.
+func (s *WLStream) Stats() StreamStats { return s.stats }
 
-func (s *wlStream) push(n *wlNode) {
+func (s *WLStream) addFeat(h uint64) { s.feats[h]++ }
+
+func (s *WLStream) push(n *wlNode) {
 	if n != nil && !n.inWork {
 		n.inWork = true
 		s.work = append(s.work, n)
@@ -207,34 +227,66 @@ func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(cursorEntry)) }
 func (h *cursorHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
-func (s *wlStream) run() error {
-	p := s.r.Procs()
+// embedMerged appends every event behind r to s in (time, rank) order
+// and finishes s, returning its embedding or the first decode or
+// stream error.
+func embedMerged(s *WLStream, r *trace.Reader) (FeatureVector, error) {
+	p := r.Procs()
 	h := make(cursorHeap, 0, p)
 	for rank := 0; rank < p; rank++ {
-		c := s.r.Cursor(rank)
+		c := r.Cursor(rank)
 		var ev trace.Event
 		if c.Next(&ev) {
 			h = append(h, cursorEntry{cur: c, ev: ev, rank: rank})
 		} else if err := c.Err(); err != nil {
-			return err
+			return FeatureVector{}, err
 		}
 	}
 	heap.Init(&h)
 	for h.Len() > 0 {
 		e := &h[0]
-		if err := s.ingest(e.ev); err != nil {
-			return err
-		}
+		s.Append(e.ev)
 		if e.cur.Next(&e.ev) {
 			heap.Fix(&h, 0)
 		} else {
 			if err := e.cur.Err(); err != nil {
-				return err
+				return FeatureVector{}, err
 			}
 			heap.Pop(&h)
 		}
 	}
+	return s.Finish()
+}
 
+// Finish ends the stream and returns its embedding, or the first error
+// the stream met. Finish is idempotent; Append after Finish is an
+// error.
+func (s *WLStream) Finish() (FeatureVector, error) {
+	if s.err == nil && !s.finished {
+		s.err = s.finish()
+	}
+	s.finished = true
+	if s.err != nil {
+		return FeatureVector{}, s.err
+	}
+	s.stats.DistinctFeatures = len(s.feats)
+	if s.stats.Events == 0 {
+		// Match Features on the empty graph: the literal zero value,
+		// not an allocated empty vector.
+		return FeatureVector{}, nil
+	}
+	return FromMap(s.feats), nil
+}
+
+func (s *WLStream) finish() error {
+	// Each rank's last node has no successor after all.
+	for rank := range s.windows {
+		if nodes := s.windows[rank].nodes(); len(nodes) > 0 {
+			last := nodes[len(nodes)-1]
+			last.hasNext = false
+			s.push(last)
+		}
+	}
 	// End of stream: every still-pending send is an unmatched send — a
 	// node with no out message edge. A pending receive has no sender,
 	// which no valid trace produces.
@@ -264,7 +316,7 @@ func (s *wlStream) run() error {
 
 // newNode returns a zeroed node for event seq of rank, recycled from
 // the free list when one is available.
-func (s *wlStream) newNode(seq, rank int) *wlNode {
+func (s *WLStream) newNode(seq, rank int) *wlNode {
 	if k := len(s.free); k > 0 {
 		n := s.free[k-1]
 		s.free = s.free[:k-1]
@@ -277,16 +329,41 @@ func (s *wlStream) newNode(seq, rank int) *wlNode {
 // windowSlab is each rank window's initial capacity.
 const windowSlab = 16
 
-func (s *wlStream) ingest(ev trace.Event) error {
-	n := s.newNode(ev.Seq, ev.Rank)
-	base := labelInterner.Hash(ev.Label())
+// kindLabelHash is labelInterner.Hash(k.String()) for every possible
+// EventKind value, computed once so that the per-event label lookup
+// takes no lock.
+var kindLabelHash = func() (t [256]uint64) {
+	for k := range t {
+		t[k] = labelInterner.Hash(trace.EventKind(k).String())
+	}
+	return t
+}()
+
+// Append implements trace.EventSink: it adds one event as its rank's
+// next node and refines whatever the arrival unblocks.
+func (s *WLStream) Append(ev trace.Event) {
+	if s.err != nil {
+		return
+	}
+	if s.finished {
+		s.err = fmt.Errorf("kernel: WLStream.Append after Finish")
+		return
+	}
+	if ev.Rank < 0 || ev.Rank >= len(s.windows) {
+		s.err = fmt.Errorf("kernel: event rank %d out of range [0,%d)", ev.Rank, len(s.windows))
+		return
+	}
+	win := &s.windows[ev.Rank]
+	seq := win.events
+	win.events++
+	n := s.newNode(seq, ev.Rank)
+	base := kindLabelHash[ev.Kind]
 	if s.w.Seed != 0 {
 		base = splitmix64(base ^ s.w.Seed)
 	}
 	n.labels[0] = base
 	s.addFeat(hashWord(s.dp[0], base))
-	events, _, _, _ := s.r.RankCounts(ev.Rank)
-	n.hasNext = ev.Seq < events-1
+	n.hasNext = true // provisional until Finish
 
 	if ev.MsgID != trace.NoMsg {
 		switch {
@@ -294,7 +371,8 @@ func (s *wlStream) ingest(ev trace.Event) error {
 			n.isSend = true
 			if other, ok := s.inflight[ev.MsgID]; ok {
 				if other.isSend {
-					return fmt.Errorf("kernel: msg %d sent twice (ranks %d and %d)", ev.MsgID, other.rank, n.rank)
+					s.err = fmt.Errorf("kernel: msg %d sent twice (ranks %d and %d)", ev.MsgID, other.rank, n.rank)
+					return
 				}
 				other.waiting = false
 				n.partner, other.partner = other, n
@@ -308,7 +386,8 @@ func (s *wlStream) ingest(ev trace.Event) error {
 			n.isRecv = true
 			if other, ok := s.inflight[ev.MsgID]; ok {
 				if other.isRecv {
-					return fmt.Errorf("kernel: msg %d received twice (ranks %d and %d)", ev.MsgID, other.rank, n.rank)
+					s.err = fmt.Errorf("kernel: msg %d received twice (ranks %d and %d)", ev.MsgID, other.rank, n.rank)
+					return
 				}
 				other.pendingMsg = false
 				n.partner, other.partner = other, n
@@ -324,9 +403,8 @@ func (s *wlStream) ingest(ev trace.Event) error {
 		}
 	}
 
-	win := &s.windows[ev.Rank]
 	if len(win.nodes()) == 0 {
-		win.head = ev.Seq
+		win.head = seq
 	}
 	win.push(n)
 	s.live++
@@ -337,18 +415,17 @@ func (s *wlStream) ingest(ev trace.Event) error {
 
 	partner := n.partner // read before a release can recycle n
 	s.push(n)
-	s.push(win.at(ev.Seq - 1)) // its arrival may unblock the predecessor
+	s.push(win.at(seq - 1)) // its arrival may unblock the predecessor
 	s.propagate()
 	s.release(ev.Rank)
 	if partner != nil {
 		s.release(partner.rank)
 	}
-	return nil
 }
 
 // propagate advances every worklist node as far as its dependencies
 // allow, feeding newly unblocked neighbors back onto the list.
-func (s *wlStream) propagate() {
+func (s *WLStream) propagate() {
 	for len(s.work) > 0 {
 		n := s.work[len(s.work)-1]
 		s.work = s.work[:len(s.work)-1]
@@ -364,9 +441,11 @@ func (s *wlStream) propagate() {
 
 // advance computes n's next refinement depth if all depth-d inputs are
 // available, reporting whether it advanced.
-func (s *wlStream) advance(n *wlNode) bool {
+func (s *WLStream) advance(n *wlNode) bool {
 	d := n.depth
-	if d >= s.w.H || n.pendingMsg {
+	// A pending send or a waiting receive does not know its message
+	// edge yet, so its next label is not computable.
+	if d >= s.w.H || n.pendingMsg || n.waiting {
 		return false
 	}
 	if n.partner != nil && n.partner.depth < d {
@@ -433,7 +512,7 @@ func (s *wlStream) advance(n *wlNode) bool {
 // back-pointer is cleared (the partner is fully refined and never reads
 // it again), and a receive still waiting in inflight for its send is
 // left to the garbage collector.
-func (s *wlStream) release(rank int) {
+func (s *WLStream) release(rank int) {
 	win := &s.windows[rank]
 	for len(win.nodes()) > 0 {
 		n := win.nodes()[0]

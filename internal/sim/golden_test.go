@@ -228,17 +228,24 @@ func goldenConfig(procs int, nd float64, seed int64) Config {
 	return cfg
 }
 
-func TestGoldenTraces(t *testing.T) {
+// goldenSpec is one golden case: the run whose trace is pinned at
+// testdata/<name>.trace.
+type goldenSpec struct {
+	name    string
+	cfg     Config
+	program Program
+}
+
+// goldenSpecs returns the golden cases in file order.
+func goldenSpecs(t *testing.T) []goldenSpec {
+	t.Helper()
 	eager := goldenConfig(8, 100, 41)
-	goldenCase(t, "eager-8rank-nd100", eager, goldenEagerProgram)
 
 	rdv := goldenConfig(8, 100, 43)
 	rdv.Net = DefaultNet
 	rdv.Net.RendezvousThreshold = 64
-	goldenCase(t, "rendezvous-8rank-nd100", rdv, goldenRendezvousProgram)
 
 	coll := goldenConfig(7, 100, 47)
-	goldenCase(t, "collectives-7rank-nd100", coll, goldenCollectiveProgram)
 
 	// Record at one seed, replay under a different seed: the replayed
 	// trace's match structure is pinned by the schedule, so its bytes
@@ -251,5 +258,17 @@ func TestGoldenTraces(t *testing.T) {
 	}
 	replayCfg := goldenConfig(8, 100, 99) // different seed: jitter differs, matches must not
 	replayCfg.Replay = RecordSchedule(recTr)
-	goldenCase(t, "replay-8rank-nd100", replayCfg, goldenReplayProgram)
+
+	return []goldenSpec{
+		{"eager-8rank-nd100", eager, goldenEagerProgram},
+		{"rendezvous-8rank-nd100", rdv, goldenRendezvousProgram},
+		{"collectives-7rank-nd100", coll, goldenCollectiveProgram},
+		{"replay-8rank-nd100", replayCfg, goldenReplayProgram},
+	}
+}
+
+func TestGoldenTraces(t *testing.T) {
+	for _, c := range goldenSpecs(t) {
+		goldenCase(t, c.name, c.cfg, c.program)
+	}
 }

@@ -147,3 +147,71 @@ func TestRunLeavesNoRankGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// discardSink counts and drops events. Its padding keeps it out of the
+// tiny allocator, whose shared blocks would delay its finalizer.
+type discardSink struct {
+	n   int
+	pad [64]byte
+}
+
+func (s *discardSink) Append(trace.Event) { s.n++ }
+
+// freedAfterGC reports whether the finalizer behind freed runs once
+// nothing but the caller's other values is left.
+func freedAfterGC(freed <-chan struct{}) bool {
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	return false
+}
+
+// The stats a run returns must not keep the simulation reachable: a
+// caller that keeps only a run's stats (as a campaign cell does for
+// every run until the cell completes) must not also keep that run's
+// trace or sink, and everything they reference, alive.
+func TestRunStatsDoNotPinSimulation(t *testing.T) {
+	program := func(r *sim.Rank) {
+		if r.Rank() == 0 {
+			r.Recv(sim.AnySource, sim.AnyTag)
+			return
+		}
+		if r.Rank() == 1 {
+			r.SendSize(0, 0, 8)
+		}
+	}
+	t.Run("sink", func(t *testing.T) {
+		freed := make(chan struct{})
+		sink := &discardSink{}
+		runtime.SetFinalizer(sink, func(*discardSink) { close(freed) })
+		cfg := sim.DefaultConfig(4, 1)
+		cfg.Sink = sink
+		_, stats, err := sim.Run(cfg, trace.Meta{}, program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink, cfg.Sink = nil, nil
+		if !freedAfterGC(freed) {
+			t.Error("the run's sink is still reachable through its stats")
+		}
+		runtime.KeepAlive(stats)
+	})
+	t.Run("trace", func(t *testing.T) {
+		freed := make(chan struct{})
+		tr, stats, err := sim.Run(sim.DefaultConfig(4, 1), trace.Meta{}, program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(tr, func(*trace.Trace) { close(freed) })
+		tr = nil
+		if !freedAfterGC(freed) {
+			t.Error("the run's trace is still reachable through its stats")
+		}
+		runtime.KeepAlive(stats)
+	})
+}

@@ -523,12 +523,16 @@ func (s *simulation) run(program Program) (*trace.Trace, *Stats, error) {
 	if s.endErr != nil {
 		return nil, nil, s.endErr
 	}
+	// Return a copy: a pointer into s would keep the whole simulation
+	// (its ranks, its sink, its trace) reachable for as long as the
+	// caller keeps the stats.
+	stats := s.stats
 	if s.sink != nil {
-		s.stats.Events = s.sinkEvents
-		return nil, &s.stats, nil
+		stats.Events = s.sinkEvents
+		return nil, &stats, nil
 	}
-	s.stats.Events = s.tr.NumEvents()
-	return s.tr, &s.stats, nil
+	stats.Events = s.tr.NumEvents()
+	return s.tr, &stats, nil
 }
 
 // rankMain is the goroutine body for one rank: wait for the first

@@ -122,17 +122,21 @@ type v2Segment struct {
 	count int
 }
 
-// colBlockCap is the initial per-rank column capacity: one pooled
+// colBlockCap is a fresh colBlock's per-column capacity in events: one
 // carve covers a small rank's whole stream (master–worker workers,
-// drain-only ranks); a hot rank's columns regrow past it once and then
-// reset in place between segment flushes.
+// drain-only ranks).
 const colBlockCap = 64
 
 // colBlock is the pooled backing storage of one rank's column buffers:
 // one byte slice for kinds, one int64 arena carved into the seven
-// numeric columns, one int slice for stack indices. Pooling these is
-// what keeps a wide writer (1024 ranks × 9 columns) from paying tens
-// of thousands of append-growth allocations per encode.
+// numeric columns, one int slice for stack indices, each holding
+// cap(kinds) events. A rank that fills its block moves to a fresh one
+// of twice the capacity, at most v2SegmentEvents (the rank flushes at
+// that many), and returns the larger block to the pool at Close: a
+// later writer's hot rank starts at the size this one grew to, instead
+// of regrowing nine columns from colBlockCap. Pooling these is what
+// keeps a wide writer (1024 ranks × 9 columns) from paying tens of
+// thousands of append-growth allocations per encode.
 type colBlock struct {
 	kinds  []byte
 	i64    []int64
@@ -141,24 +145,27 @@ type colBlock struct {
 
 var colBlockPool sync.Pool
 
+func newColBlock(events int) *colBlock {
+	return &colBlock{
+		kinds:  make([]byte, 0, events),
+		i64:    make([]int64, 7*events),
+		stacks: make([]int, 0, events),
+	}
+}
+
 func getColBlock() *colBlock {
 	if cb, ok := colBlockPool.Get().(*colBlock); ok {
 		return cb
 	}
-	return &colBlock{
-		kinds:  make([]byte, 0, colBlockCap),
-		i64:    make([]int64, 7*colBlockCap),
-		stacks: make([]int, 0, colBlockCap),
-	}
+	return newColBlock(colBlockCap)
 }
 
 func putColBlock(cb *colBlock) { colBlockPool.Put(cb) }
 
 // rankEncoder buffers one rank's pending column data and accumulates
 // its footer counts. Column slices are carved from a pooled colBlock on
-// the rank's first event and released at Close; a column that outgrows
-// its carve regrows independently and keeps its capacity across segment
-// flushes.
+// the rank's first event, move to a larger block when full (grow), and
+// are released at Close.
 type rankEncoder struct {
 	cb       *colBlock
 	kinds    []byte
@@ -176,9 +183,9 @@ type rankEncoder struct {
 	segs                 []v2Segment
 }
 
-// attach carves the rank's column buffers out of cb.
+// attach carves the rank's empty column buffers out of cb.
 func (re *rankEncoder) attach(cb *colBlock) {
-	const c = colBlockCap
+	c := cap(cb.kinds)
 	re.cb = cb
 	re.kinds = cb.kinds[:0]
 	re.stacks = cb.stacks[:0]
@@ -191,8 +198,27 @@ func (re *rankEncoder) attach(cb *colBlock) {
 	re.lamports = cb.i64[6*c : 6*c : 7*c]
 }
 
+// grow moves the rank's pending events to a fresh block of twice the
+// capacity, capped at v2SegmentEvents. The outgrown block is dropped,
+// not pooled, so the pool fills with blocks of the size writers need.
+// Append calls it only on a full block, which holds fewer than
+// v2SegmentEvents events (a rank flushes at that many).
+func (re *rankEncoder) grow() {
+	old := *re
+	re.attach(newColBlock(min(2*cap(old.kinds), v2SegmentEvents)))
+	re.kinds = append(re.kinds, old.kinds...)
+	re.peers = append(re.peers, old.peers...)
+	re.tags = append(re.tags, old.tags...)
+	re.sizes = append(re.sizes, old.sizes...)
+	re.msgIDs = append(re.msgIDs, old.msgIDs...)
+	re.chanSeqs = append(re.chanSeqs, old.chanSeqs...)
+	re.times = append(re.times, old.times...)
+	re.lamports = append(re.lamports, old.lamports...)
+	re.stacks = append(re.stacks, old.stacks...)
+}
+
 // release returns the rank's colBlock to the pool and drops the column
-// slices (some may alias the block's arena).
+// slices, which alias it.
 func (re *rankEncoder) release() {
 	if re.cb == nil {
 		return
@@ -347,6 +373,8 @@ func (sw *StreamWriter) Append(e Event) {
 	re := &sw.ranks[e.Rank]
 	if re.cb == nil {
 		re.attach(getColBlock())
+	} else if len(re.kinds) == cap(re.kinds) {
+		re.grow()
 	}
 	re.kinds = append(re.kinds, byte(e.Kind))
 	re.peers = append(re.peers, int64(e.Peer))
