@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -216,7 +217,15 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && isSourceFile(e.Name()) {
+		if e.IsDir() || !isSourceFile(e.Name()) {
+			continue
+		}
+		// Build constraints and _GOOS/_GOARCH suffixes select the files
+		// the go command would compile here: a package may declare one
+		// function in a file per architecture.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if ok {
 			names = append(names, e.Name())
 		}
 	}

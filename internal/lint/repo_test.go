@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -112,5 +113,18 @@ func TestLoaderRejectsBadPattern(t *testing.T) {
 	}
 	if _, err := loader.Load("no/such/dir"); err == nil {
 		t.Error("bad pattern accepted")
+	}
+}
+
+// The loader compiles the files the go command would: a file excluded
+// by its build constraint is neither parsed into the package nor
+// type-checked against the file that replaces it.
+func TestLoaderHonorsBuildConstraints(t *testing.T) {
+	pkg := loadFixture(t, "buildtags")
+	if len(pkg.Files) != 1 {
+		t.Fatalf("loaded %d files, want the one whose constraint holds", len(pkg.Files))
+	}
+	if name := filepath.Base(pkg.Fset.File(pkg.Files[0].Pos()).Name()); name != "pick.go" {
+		t.Errorf("loaded %s, want pick.go", name)
 	}
 }

@@ -10,6 +10,18 @@ import (
 // keeps. Deep recursion beyond this is truncated from the outermost end.
 const maxStackDepth = 32
 
+// scanDepth bounds how many logical frames past the skipped ones a
+// capture examines for its maxStackDepth application frames. It is the
+// window a runtime.Callers buffer of this size gives, so a deep stack
+// truncates the same on every architecture.
+const scanDepth = maxStackDepth + 8
+
+// pcBufLen is the capture buffer's length. A physical frame expands to
+// at least one logical frame, so skip+scanDepth+1 return PCs decode the
+// whole window (the +1 lets CallersFrames expand the inlined calls of
+// the window's last frame): exact for any skip up to 7.
+const pcBufLen = scanDepth + 8
+
 // framePrefixesToTrim lists function-name prefixes that belong to the
 // runtime plumbing rather than the "application" (the pattern code a
 // student would inspect). ANACIN-X similarly strips MPI-library and
@@ -33,19 +45,20 @@ type Stack struct {
 	Key    string
 }
 
-// The intern cache maps raw program-counter sequences to their decoded,
-// trimmed Stack. Symbolization (runtime.CallersFrames plus name
-// shortening) runs once per distinct callsite per process instead of
-// once per traced event — the same replay-system insight that keeps
+// The intern cache maps a capture's raw return PCs and skip to their
+// decoded, trimmed Stack. Symbolization (runtime.CallersFrames plus
+// name shortening) runs once per distinct callsite per process instead
+// of once per traced event — the same replay-system insight that keeps
 // recording overhead negligible in classic execution-replay tracers:
-// repeated structure is interned, not re-symbolized. The cache is
-// keyed on the raw PCs (hash plus exact slice equality, so hash
-// collisions cost a scan, never a wrong answer) and is shared
-// process-wide, like kernel.Interner: concurrent simulated runs hammer
-// it from many goroutines.
+// repeated structure is interned, not re-symbolized. The cache is keyed
+// on the raw PCs and skip (hash plus exact equality, so hash collisions
+// cost a scan, never a wrong answer) and is shared process-wide, like
+// kernel.Interner: concurrent simulated runs hammer it from many
+// goroutines.
 type stackEntry struct {
-	pcs []uintptr
-	st  Stack
+	skip int
+	pcs  []uintptr
+	st   Stack
 }
 
 var stackCache = struct {
@@ -53,51 +66,38 @@ var stackCache = struct {
 	buckets map[uint64][]*stackEntry
 }{buckets: make(map[uint64][]*stackEntry, 64)}
 
-// pcBufPool recycles the raw-PC capture buffers so the hit path of
-// CaptureStackInterned allocates nothing at all.
-var pcBufPool = sync.Pool{New: func() any {
-	b := make([]uintptr, maxStackDepth+8)
-	return &b
-}}
-
-// CaptureStack records the current goroutine's call-path as a slice of
-// function names, innermost application frame first. skip extra frames
-// below the caller are dropped (0 means the caller of CaptureStack is the
-// innermost candidate). Runtime, testing, and simulator frames are
-// removed so the result reads like the call-path of the traced program.
+// CaptureStackInterned records the current goroutine's call-path,
+// innermost application frame first, and returns it interned: the
+// shared frame slice together with the ";"-joined CallstackKey,
+// decoded once per distinct callsite. skip drops that many more
+// logical frames (inlined calls count): 0 makes the caller of
+// CaptureStackInterned the innermost candidate, 1 the caller's caller.
+// Runtime, testing and simulator frames are removed so the result
+// reads like the call-path of the traced program. The simulator
+// records the key alongside each event so downstream consumers (the
+// event-graph builder, the binary writer) never re-join frames.
 //
-// The returned slice is shared with every other capture of the same
-// callsite and must not be mutated; use CaptureStackInterned to also
-// receive the precomputed key.
-func CaptureStack(skip int) []string {
-	return CaptureStackInterned(skip + 1).Frames
-}
-
-// CaptureStackInterned is CaptureStack plus interning: it returns the
-// shared frame slice together with the ";"-joined CallstackKey, decoded
-// once per distinct callsite. The simulator records the key alongside
-// each event so downstream consumers (the event-graph builder, the
-// binary writer) never re-join frames.
+// The hit path walks the frame-pointer chain into a stack buffer and
+// allocates nothing. It must not be inlined: callerPCs starts the walk
+// at this function's frame.
+//
+//go:noinline
 func CaptureStackInterned(skip int) Stack {
-	bufp := pcBufPool.Get().(*[]uintptr)
-	pcs := (*bufp)[:cap(*bufp)]
-	n := runtime.Callers(skip+2, pcs)
+	var pcs [pcBufLen]uintptr
+	n := callerPCs(pcs[:])
 	if n == 0 {
-		pcBufPool.Put(bufp)
 		return Stack{}
 	}
-	st := internPCs(pcs[:n])
-	pcBufPool.Put(bufp)
-	return st
+	return internPCs(skip, pcs[:n])
 }
 
-// internPCs resolves a raw PC sequence through the cache, decoding and
+// internPCs resolves a capture through the cache, decoding and
 // inserting on first sight.
-func internPCs(pcs []uintptr) Stack {
-	h := hashPCs(pcs)
+func internPCs(skip int, pcs []uintptr) Stack {
+	h := hashPCs(skip, pcs)
 	stackCache.RLock()
 	for _, e := range stackCache.buckets[h] {
-		if pcsEqual(e.pcs, pcs) {
+		if e.skip == skip && pcsEqual(e.pcs, pcs) {
 			st := e.st
 			stackCache.RUnlock()
 			return st
@@ -108,38 +108,50 @@ func internPCs(pcs []uintptr) Stack {
 	// Decode outside the lock: symbolization is the expensive part, it
 	// is a pure function of the PCs, and racing decoders of the same
 	// callsite produce identical results — only one wins the insert.
-	st := Stack{Frames: decodeFrames(pcs)}
+	// The decoder reads a heap copy, so the caller's stack buffer
+	// never escapes.
+	key := append([]uintptr(nil), pcs...)
+	st := Stack{Frames: decodeFrames(key, skip)}
 	st.Key = joinFrames(st.Frames)
 
 	stackCache.Lock()
 	for _, e := range stackCache.buckets[h] {
-		if pcsEqual(e.pcs, pcs) {
+		if e.skip == skip && pcsEqual(e.pcs, pcs) {
 			st = e.st
 			stackCache.Unlock()
 			return st
 		}
 	}
 	stackCache.buckets[h] = append(stackCache.buckets[h], &stackEntry{
-		pcs: append([]uintptr(nil), pcs...), // pcs aliases a pooled buffer
-		st:  st,
+		skip: skip,
+		pcs:  key,
+		st:   st,
 	})
 	stackCache.Unlock()
 	return st
 }
 
-// decodeFrames symbolizes and trims a PC sequence — the pre-interning
-// body of CaptureStack, run once per distinct callsite.
-func decodeFrames(pcs []uintptr) []string {
+// decodeFrames symbolizes and trims a capture, once per distinct
+// callsite. pcs holds physical return PCs (the frame-pointer walk) or
+// logical ones (the runtime.Callers fallback); runtime.CallersFrames
+// expands the inlined calls of either, so skip drops logical frames
+// and keeps its meaning whatever the compiler inlined. Wrapper frames
+// (method-value and method wrappers, file "<autogenerated>") are
+// elided and not counted, as runtime.Callers elides them.
+func decodeFrames(pcs []uintptr, skip int) []string {
 	frames := runtime.CallersFrames(pcs)
 	var stack []string
-	for {
+	for seen := 0; seen < skip+scanDepth; {
 		frame, more := frames.Next()
-		name := frame.Function
-		if name != "" && !trimmedFrame(name) {
-			stack = append(stack, shortFuncName(name))
-			if len(stack) >= maxStackDepth {
-				break
+		if frame.File != "<autogenerated>" {
+			name := frame.Function
+			if seen >= skip && name != "" && !trimmedFrame(name) {
+				stack = append(stack, shortFuncName(name))
+				if len(stack) >= maxStackDepth {
+					break
+				}
 			}
+			seen++
 		}
 		if !more {
 			break
@@ -168,17 +180,14 @@ func joinFrames(frames []string) string {
 	return b.String()
 }
 
-// hashPCs is FNV-1a over the PC words. Collisions are resolved by
-// pcsEqual, so the hash only needs to spread, not to be perfect.
-func hashPCs(pcs []uintptr) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+// hashPCs is FNV-1a over skip and the PC words. Collisions are
+// resolved by exact comparison, so the hash only needs to spread, not
+// to be perfect.
+func hashPCs(skip int, pcs []uintptr) uint64 {
+	h := (fnvOffset64 ^ uint64(skip)) * fnvPrime64
 	for _, pc := range pcs {
 		h ^= uint64(pc)
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return h
 }

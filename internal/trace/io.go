@@ -119,26 +119,37 @@ func (t *Trace) OrderHash() uint64 {
 // orderHash folds src's communication structure: per rank, the event
 // count, then every event's kind, peer, tag and channel sequence.
 func orderHash(src Source) (uint64, error) {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
+	h := uint64(fnvOffset64)
 	var ev Event
 	for rank := 0; rank < src.Procs(); rank++ {
 		events, _, _, _ := src.RankCounts(rank)
-		writeInt(int64(events))
+		h = fnv64aInt(h, int64(events))
 		c := src.Cursor(rank)
 		for c.Next(&ev) {
-			writeInt(int64(ev.Kind))
-			writeInt(int64(ev.Peer))
-			writeInt(int64(ev.Tag))
-			writeInt(int64(ev.ChanSeq))
+			h = fnv64aInt(h, int64(ev.Kind))
+			h = fnv64aInt(h, int64(ev.Peer))
+			h = fnv64aInt(h, int64(ev.Tag))
+			h = fnv64aInt(h, int64(ev.ChanSeq))
 		}
 		if err := c.Err(); err != nil {
 			return 0, err
 		}
 	}
-	return h.Sum64(), nil
+	return h, nil
+}
+
+// FNV-1a's 64-bit offset basis and prime (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv64aInt folds v's eight little-endian bytes into the FNV-1a state
+// h: the value hash/fnv's New64a reaches when those bytes are written.
+func fnv64aInt(h uint64, v int64) uint64 {
+	for shift := 0; shift < 64; shift += 8 {
+		h ^= (uint64(v) >> shift) & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }

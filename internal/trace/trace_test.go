@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -240,6 +242,43 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+// fnvOrderHash is orderHash written against hash/fnv, the form every
+// recorded order hash (goldens, EXPERIMENTS.md) was computed with.
+func fnvOrderHash(t *Trace) uint64 {
+	h := fnv.New64a()
+	writeInt := func(v int64) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+	}
+	for _, evs := range t.Events {
+		writeInt(int64(len(evs)))
+		for _, e := range evs {
+			writeInt(int64(e.Kind))
+			writeInt(int64(e.Peer))
+			writeInt(int64(e.Tag))
+			writeInt(int64(e.ChanSeq))
+		}
+	}
+	return h.Sum64()
+}
+
+// Property: the inline FNV-1a fold gives hash/fnv's value bit for bit,
+// negative fields included.
+func TestQuickOrderHashMatchesHashFNV(t *testing.T) {
+	f := func(fields [][4]int32) bool {
+		tr := New(Meta{Procs: 3})
+		for i, v := range fields {
+			tr.Append(Event{Rank: i % 3, Kind: EventKind(uint32(v[0]) % 16), Peer: int(v[1]), Tag: int(v[2]), ChanSeq: int(v[3]), MsgID: NoMsg})
+		}
+		return tr.OrderHash() == fnvOrderHash(tr)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if got, want := buildValidTrace().OrderHash(), fnvOrderHash(buildValidTrace()); got != want {
+		t.Errorf("OrderHash %#x, hash/fnv %#x", got, want)
+	}
+}
+
 func TestHashSensitivity(t *testing.T) {
 	a := buildValidTrace()
 	b := buildValidTrace()
@@ -284,7 +323,7 @@ func TestCaptureStackTrimsRuntime(t *testing.T) {
 func helperOuter() []string { return helperInner() }
 
 //go:noinline
-func helperInner() []string { return CaptureStack(0) }
+func helperInner() []string { return CaptureStackInterned(0).Frames }
 
 func TestShortFuncName(t *testing.T) {
 	cases := map[string]string{
