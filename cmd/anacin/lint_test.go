@@ -69,3 +69,29 @@ func TestCmdLintRejectsUnknownCheck(t *testing.T) {
 		t.Error("unknown check accepted")
 	}
 }
+
+// TestCmdLintFailsOnTypeErrors points the CLI at a fixture that parses
+// but does not type-check: each type error is a finding, and the
+// command returns an error instead of reporting the package clean.
+func TestCmdLintFailsOnTypeErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks fixtures; skipped in -short")
+	}
+	fixture := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "typeerr")
+	var err error
+	out := captureStdout(t, func() error { err = cmdLint([]string{fixture}); return nil })
+	if err == nil || !strings.Contains(err.Error(), "2 finding(s)") {
+		t.Fatalf("err = %v, want 2 findings", err)
+	}
+	for _, want := range []string{
+		"typeerr.go:5:27: typecheck: cannot use \"three\"",
+		"typeerr.go:7:37: typecheck: undefined: undefined",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "ok:") {
+		t.Errorf("lint reported a package that does not type-check as ok:\n%s", out)
+	}
+}

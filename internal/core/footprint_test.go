@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/anacin-go/anacinx/internal/kernel"
@@ -78,5 +80,96 @@ func TestStreamPipelineFootprintFlat(t *testing.T) {
 	// writer's flush threshold regardless of run length.
 	if bigSeg > 1024 {
 		t.Errorf("largest segment %d events exceeds the 1024-event flush threshold", bigSeg)
+	}
+}
+
+// windowStats runs pattern at 32 ranks, 2 nodes, ND 0 and the given
+// iterations through streamRun with a WL push stream teed beside the
+// archive writer, and returns the stream's embedding and stats.
+func windowStats(t *testing.T, pattern string, iterations int) (kernel.FeatureVector, kernel.StreamStats) {
+	t.Helper()
+	e := DefaultExperiment(pattern, 32, 0)
+	e.Nodes = 2
+	e.Iterations = iterations
+	e.Runs = 1
+	e.CaptureStacks = false
+	pat, program, err := e.program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := kernel.NewWL(2).NewStream(e.Procs)
+	path := filepath.Join(t.TempDir(), "run.anctr")
+	if _, err := e.streamRun(context.Background(), 0, pat, program, path, ws); err != nil {
+		t.Fatal(err)
+	}
+	fv, err := ws.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fv, ws.Stats()
+}
+
+// windowGrowth classes every registered pattern's streaming window
+// from 8 to 32 iterations (32 ranks, 2 nodes, ND 0). "flat" means the
+// peak window at 32 iterations is at most twice the one at 8; a
+// pattern that "grows" carries the measured reason. In every growing
+// pattern the ranks drift apart: at the window's peak the fastest rank
+// is iterations ahead of the slowest, a node cannot be released until
+// its message partner on a lagging rank is refined, and the spread
+// widens with the run (unstructured_mesh 4.3, 10.4 and 35.7 iterations
+// at 8, 32 and 128; mcb 3.3, 12.0 and 46.4).
+var windowGrowth = map[string]string{
+	"amg2013":         "flat",
+	"collective_tree": "flat",
+	"master_worker":   "flat",
+	"miniamr":         "flat",
+	"reduce_pipeline": "flat",
+	"ring_halo":       "flat",
+	"stencil2d":       "flat",
+	"sweep3d":         "flat",
+	// Eager fan-in: the senders run ahead of rank 0, whose wildcard
+	// receives drain them one at a time, and every unmatched send is
+	// held (MaxInFlight 214 -> 834).
+	"message_race": "grows: fan-in to rank 0",
+	// Eager sends to random out-neighbours, drained by wildcard
+	// receives, let ranks drift apart without bound.
+	"unstructured_mesh": "grows: rank drift",
+	// Under 2x at 32 iterations (346 -> 600) but driven by the same
+	// drift as the mesh: 3057 nodes at 128.
+	"mcb": "grows: rank drift",
+}
+
+// TestStreamWindowByPattern runs every registered pattern through the
+// tee path (streamRun) at 8 and 32 iterations and checks its window
+// against its growth class. Each run is embedded twice, first on fresh
+// stream scratch (the pool is emptied by two collections) and then on
+// the scratch the first stream handed back: the embedding and every
+// StreamStats figure must not depend on which.
+func TestStreamWindowByPattern(t *testing.T) {
+	for _, pat := range patterns.All() {
+		class, ok := windowGrowth[pat.Name()]
+		if !ok {
+			t.Errorf("%s: no window growth class", pat.Name())
+			continue
+		}
+		var window [2]int
+		for j, iters := range []int{8, 32} {
+			runtime.GC()
+			runtime.GC()
+			freshFV, fresh := windowStats(t, pat.Name(), iters)
+			recycledFV, recycled := windowStats(t, pat.Name(), iters)
+			if fresh != recycled || !reflect.DeepEqual(freshFV, recycledFV) {
+				t.Errorf("%s at %d iterations: recycled scratch gave %+v, fresh %+v", pat.Name(), iters, recycled, fresh)
+			}
+			window[j] = fresh.MaxWindow
+		}
+		t.Logf("%-18s window %5d -> %5d (%s)", pat.Name(), window[0], window[1], class)
+		if class == "flat" {
+			if window[1] > 2*window[0] {
+				t.Errorf("%s: window %d -> %d from 8 to 32 iterations, more than 2x for a flat pattern", pat.Name(), window[0], window[1])
+			}
+		} else if window[1] <= window[0] {
+			t.Errorf("%s: window %d -> %d no longer grows; reclassify it as flat", pat.Name(), window[0], window[1])
+		}
 	}
 }

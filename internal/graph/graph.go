@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/anacin-go/anacinx/internal/trace"
 	"github.com/anacin-go/anacinx/internal/vtime"
@@ -18,6 +19,9 @@ import (
 
 // NodeID indexes a node within its Graph.
 type NodeID int32
+
+// String of a NodeID for error messages.
+func (id NodeID) String() string { return strconv.Itoa(int(id)) }
 
 // None marks the absence of a node reference.
 const None NodeID = -1

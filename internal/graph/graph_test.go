@@ -372,3 +372,9 @@ func BenchmarkSliceByLamport(b *testing.B) {
 		}
 	}
 }
+
+func TestNodeIDString(t *testing.T) {
+	if NodeID(7).String() != "7" {
+		t.Error("NodeID.String wrong")
+	}
+}

@@ -84,6 +84,57 @@ func TestIdenticalGraphsDistanceZero(t *testing.T) {
 	}
 }
 
+// TestSymmetricRaceIsIsomorphic is the isomorphism caveat of
+// docs/IMPLEMENTATION.md: in a single-round symmetric message race,
+// swapping which sender's message lands first is a graph automorphism,
+// so two runs with different match orders (different order hashes)
+// embed identically at every WL depth and their distance is zero.
+func TestSymmetricRaceIsIsomorphic(t *testing.T) {
+	race := func(seed int64) *trace.Trace {
+		cfg := sim.DefaultConfig(4, seed)
+		cfg.NDPercent = 100
+		tr, _, err := sim.Run(cfg, trace.Meta{Pattern: "race"}, func(r *sim.Rank) {
+			if r.Rank() == 0 {
+				for i := 1; i < r.Size(); i++ {
+					r.Recv(sim.AnySource, sim.AnyTag)
+				}
+				return
+			}
+			r.SendSize(0, 0, 1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	base := race(1)
+	var other *trace.Trace
+	for seed := int64(2); seed < 64 && other == nil; seed++ {
+		if tr := race(seed); tr.OrderHash() != base.OrderHash() {
+			other = tr
+		}
+	}
+	if other == nil {
+		t.Fatal("no seed changed the match order")
+	}
+	a, err := graph.FromTrace(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := graph.FromTrace(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []WL{NewWL(0), NewWL(1), NewWL(2), NewWL(3), {H: 3, Directed: false}} {
+		if !reflect.DeepEqual(k.Features(a), k.Features(b)) {
+			t.Errorf("%s: permuted symmetric race embeds differently", k.Name())
+		}
+		if d := Distance(k, a, b); d != 0 {
+			t.Errorf("%s: distance %g between isomorphic runs, want 0", k.Name(), d)
+		}
+	}
+}
+
 func TestSelfDistanceZero(t *testing.T) {
 	g := meshGraph(t, 5, 2, 100, 3)
 	for _, k := range allKernels {

@@ -3,6 +3,8 @@ package kernel
 import (
 	"container/heap"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/anacin-go/anacinx/internal/graph"
 	"github.com/anacin-go/anacinx/internal/trace"
@@ -83,28 +85,101 @@ func (w WL) FeaturesFromReaderStats(r *trace.Reader) (FeatureVector, StreamStats
 	return fv, s.Stats(), err
 }
 
-// NewStream implements StreamingKernel.
+// NewStream implements StreamingKernel. The stream's working memory
+// comes from a package pool and goes back to it when Finish succeeds.
 func (w WL) NewStream(procs int) *WLStream {
 	if w.H < 0 {
 		panic(fmt.Sprintf("kernel: WL.NewStream called with negative depth H=%d (construct with NewWL, or set H >= 0)", w.H))
 	}
-	s := &WLStream{
-		w:        w,
-		dp:       make([]uint64, w.H+1),
-		windows:  make([]wlWindow, procs),
+	return w.newStream(procs, getStreamScratch())
+}
+
+// newStream starts a stream on sc, resized for procs ranks and depth
+// w.H.
+func (w WL) newStream(procs int, sc *streamScratch) *WLStream {
+	sc.reset(w.H, procs)
+	return &WLStream{w: w, streamScratch: sc}
+}
+
+// streamScratch is a stream's working memory: everything a pass grows
+// in proportion to its window. A mesh campaign embeds thousands of runs
+// of one shape, so recycling the scratch across streams
+// (streamScratchPool) turns the per-run cost of the window's nodes,
+// buffers and maps into a one-time one, as colBlockPool does for the
+// encoder's columns.
+type streamScratch struct {
+	dp       []uint64
+	windows  []wlWindow
+	inflight map[int64]*wlNode
+	feats    map[uint64]float64
+	work     []*wlNode
+	neigh    []uint64
+	// free holds released nodes for reuse, so a pass allocates nodes in
+	// proportion to its peak window rather than its event count, and a
+	// recycled scratch allocates none until it outgrows its last pass.
+	free []*wlNode
+}
+
+// streamScratchPool recycles the scratch of streams that finished
+// without error.
+var streamScratchPool sync.Pool
+
+// Pool bounds: scratch whose free list or feature map outgrew these is
+// left to the garbage collector rather than pinned in the pool. A
+// 1024-rank message_race run, the largest the benchmarks embed, peaks
+// at about 27K nodes; the bounds sit above it.
+const (
+	maxPooledNodes    = 1 << 16
+	maxPooledFeatures = 1 << 17
+)
+
+func newStreamScratch() *streamScratch {
+	return &streamScratch{
 		inflight: make(map[int64]*wlNode),
 		feats:    make(map[uint64]float64),
 	}
-	for d := 0; d <= w.H; d++ {
-		s.dp[d] = hashWord(fnvOffset, uint64(d))
+}
+
+func getStreamScratch() *streamScratch {
+	if sc, _ := streamScratchPool.Get().(*streamScratch); sc != nil {
+		return sc
 	}
-	// The windows start out carved from one allocation; a rank whose
-	// window outgrows its share reallocates alone.
-	initial := make([]*wlNode, len(s.windows)*windowSlab)
-	for i := range s.windows {
-		s.windows[i].buf = initial[i*windowSlab : i*windowSlab : (i+1)*windowSlab]
+	return newStreamScratch()
+}
+
+// putStreamScratch returns sc to the pool unless it is oversized,
+// reporting whether it was pooled. sc must come from a stream that
+// finished without error: every window is then empty and inflight is
+// cleared.
+func putStreamScratch(sc *streamScratch) bool {
+	if len(sc.free) > maxPooledNodes || len(sc.feats) > maxPooledFeatures {
+		return false
 	}
-	return s
+	streamScratchPool.Put(sc)
+	return true
+}
+
+// reset prepares sc for a procs-rank pass at depth h. Window buffers
+// and maps are kept, emptied; free nodes whose labels do not hold h+1
+// depths are dropped (a free list is uniform: all its nodes come from
+// one depth).
+func (sc *streamScratch) reset(h, procs int) {
+	sc.dp = slices.Grow(sc.dp[:0], h+1)[:h+1]
+	for d := range sc.dp {
+		sc.dp[d] = hashWord(fnvOffset, uint64(d))
+	}
+	if n := cap(sc.windows); n < procs {
+		sc.windows = slices.Grow(sc.windows[:n], procs-n)
+	}
+	sc.windows = sc.windows[:procs]
+	for i := range sc.windows {
+		sc.windows[i] = wlWindow{buf: sc.windows[i].buf[:0]}
+	}
+	clear(sc.feats)
+	if len(sc.free) > 0 && len(sc.free[0].labels) != h+1 {
+		clear(sc.free)
+		sc.free = sc.free[:0]
+	}
 }
 
 // wlNode is one buffered event during a streaming pass.
@@ -176,18 +251,12 @@ func (w *wlWindow) pop() {
 // stays provisional until then. Errors are sticky: the first one stops
 // ingest and is returned by Finish.
 type WLStream struct {
-	w        WL
-	dp       []uint64
-	windows  []wlWindow
-	inflight map[int64]*wlNode
-	feats    map[uint64]float64
-	work     []*wlNode
-	neigh    []uint64
-	// free holds released nodes for reuse, so a pass allocates nodes in
-	// proportion to its peak window rather than its event count.
-	free     []*wlNode
+	w WL
+	// The scratch is nil once Finish has taken it back.
+	*streamScratch
 	live     int
 	stats    StreamStats
+	fv       FeatureVector
 	err      error
 	finished bool
 }
@@ -260,22 +329,43 @@ func embedMerged(s *WLStream, r *trace.Reader) (FeatureVector, error) {
 
 // Finish ends the stream and returns its embedding, or the first error
 // the stream met. Finish is idempotent; Append after Finish is an
-// error.
+// error. A stream that finishes without error hands its scratch back
+// for the next stream; one that fails, or is never finished, leaves it
+// to the garbage collector.
 func (s *WLStream) Finish() (FeatureVector, error) {
-	if s.err == nil && !s.finished {
-		s.err = s.finish()
+	if sc := s.end(); sc != nil {
+		putStreamScratch(sc)
 	}
-	s.finished = true
 	if s.err != nil {
 		return FeatureVector{}, s.err
 	}
-	s.stats.DistinctFeatures = len(s.feats)
-	if s.stats.Events == 0 {
-		// Match Features on the empty graph: the literal zero value,
-		// not an allocated empty vector.
-		return FeatureVector{}, nil
+	return s.fv, nil
+}
+
+// end finishes the stream on its first call and detaches its scratch,
+// returning it when the pass succeeded (nil otherwise, and on every
+// later call).
+func (s *WLStream) end() *streamScratch {
+	if s.finished {
+		return nil
 	}
-	return FromMap(s.feats), nil
+	s.finished = true
+	if s.err == nil {
+		s.err = s.finish()
+	}
+	sc := s.streamScratch
+	s.streamScratch = nil
+	if s.err != nil {
+		return nil
+	}
+	s.stats.DistinctFeatures = len(sc.feats)
+	// An empty pass keeps the zero FeatureVector, matching Features on
+	// the empty graph: the literal zero value, not an allocated empty
+	// vector.
+	if s.stats.Events > 0 {
+		s.fv = FromMap(sc.feats)
+	}
+	return sc
 }
 
 func (s *WLStream) finish() error {
@@ -325,9 +415,6 @@ func (s *WLStream) newNode(seq, rank int) *wlNode {
 	}
 	return &wlNode{seq: seq, rank: rank, labels: make([]uint64, s.w.H+1)}
 }
-
-// windowSlab is each rank window's initial capacity.
-const windowSlab = 16
 
 // kindLabelHash is labelInterner.Hash(k.String()) for every possible
 // EventKind value, computed once so that the per-event label lookup

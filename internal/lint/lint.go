@@ -19,6 +19,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -97,8 +98,9 @@ func isKnownCheck(name string) bool {
 
 // A Finding is one rule violation at one source position.
 type Finding struct {
-	// Check is the analyzer name ("maprange", "wallclock", ...) or
-	// "directive" for malformed //anacin:allow comments.
+	// Check is the analyzer name ("maprange", "wallclock", ...),
+	// "directive" for malformed //anacin:allow comments, or
+	// "typecheck" for a package that does not type-check.
 	Check string `json:"check"`
 	// File is the path relative to the module root (forward slashes).
 	File string `json:"file"`
@@ -202,7 +204,10 @@ func relToModule(root, file string) string {
 // Run applies the analyzers to every package and returns all findings —
 // suppressed ones included — sorted by file, line, column, and check.
 // Malformed or unknown //anacin:allow directives are reported as
-// findings of the pseudo-check "directive" (never suppressible).
+// findings of the pseudo-check "directive", and type-checking errors
+// as findings of the pseudo-check "typecheck"; neither is
+// suppressible, so a package the analyzers saw only partially fails
+// the lint.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
@@ -225,6 +230,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 }
 
 func runPackage(pkg *Package, analyzers []*Analyzer, findings *[]Finding) {
+	for _, err := range pkg.TypeErrs {
+		*findings = append(*findings, typeErrFinding(pkg, err))
+	}
 	allows := make(map[string]allowSet, len(pkg.Files))
 	for _, f := range pkg.Files {
 		name := pkg.Fset.Position(f.Pos()).Filename
@@ -234,6 +242,20 @@ func runPackage(pkg *Package, analyzers []*Analyzer, findings *[]Finding) {
 		pass := &Pass{Analyzer: a, Pkg: pkg, allows: allows, findings: findings}
 		a.Run(pass)
 	}
+}
+
+// typeErrFinding reports one type-checking error at its position, or
+// at the package directory when the error carries none.
+func typeErrFinding(pkg *Package, err error) Finding {
+	f := Finding{Check: "typecheck", File: relToModule(pkg.ModuleRoot, pkg.Dir), Message: err.Error()}
+	var terr types.Error
+	if errors.As(err, &terr) && terr.Pos.IsValid() {
+		position := pkg.Fset.Position(terr.Pos)
+		f.File = relToModule(pkg.ModuleRoot, position.Filename)
+		f.Line, f.Col = position.Line, position.Column
+		f.Message = terr.Msg
+	}
+	return f
 }
 
 // Unsuppressed counts the findings not covered by an allow directive.

@@ -22,8 +22,8 @@ func loadFixture(t *testing.T, dir string) *Package {
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages from %s, want 1", len(pkgs), dir)
 	}
-	if pkgs[0].TypeErr != nil {
-		t.Fatalf("fixture %s does not type-check: %v", dir, pkgs[0].TypeErr)
+	if errs := pkgs[0].TypeErrs; len(errs) > 0 {
+		t.Fatalf("fixture %s does not type-check: %v", dir, errs[0])
 	}
 	return pkgs[0]
 }

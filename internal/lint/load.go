@@ -27,14 +27,16 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test files, in file-name order.
 	Files []*ast.File
-	// Types is the type-checked package (possibly partial on TypeErr).
+	// Types is the type-checked package (partial when TypeErrs is not
+	// empty).
 	Types *types.Package
 	// Info carries the expression types and ident resolutions the
 	// analyzers consume.
 	Info *types.Info
-	// TypeErr is the first type-checking error, if any. Analysis
-	// proceeds best-effort on partial information.
-	TypeErr error
+	// TypeErrs holds every type-checking error, in the checker's
+	// order. Analysis proceeds best-effort on partial information, and
+	// Run reports each error as a finding.
+	TypeErrs []error
 }
 
 // A Loader parses and type-checks packages of the enclosing module
@@ -257,13 +259,10 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	}
 	conf := types.Config{
 		Importer: l.imp,
-		// Collect the first error but keep checking: analyzers work on
-		// partial type information rather than refusing to run.
-		Error: func(err error) {
-			if pkg.TypeErr == nil {
-				pkg.TypeErr = err
-			}
-		},
+		// Collect every error but keep checking: analyzers work on
+		// partial type information rather than refusing to run, and
+		// the errors themselves fail the lint (Run).
+		Error: func(err error) { pkg.TypeErrs = append(pkg.TypeErrs, err) },
 	}
 	pkg.Types, _ = conf.Check(pkg.Path, l.fset, files, pkg.Info)
 	l.loaded[dir] = pkg

@@ -28,8 +28,8 @@ func TestRepositoryIsLintClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages — the module walk is broken", len(pkgs))
 	}
 	for _, pkg := range pkgs {
-		if pkg.TypeErr != nil {
-			t.Errorf("%s: type-check: %v", pkg.Path, pkg.TypeErr)
+		for _, err := range pkg.TypeErrs {
+			t.Errorf("%s: type-check: %v", pkg.Path, err)
 		}
 	}
 	findings := Run(pkgs, Analyzers())

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // maxStackDepth bounds how many application frames a recorded callstack
@@ -55,16 +57,34 @@ type Stack struct {
 // cost a scan, never a wrong answer) and is shared process-wide, like
 // kernel.Interner: concurrent simulated runs hammer it from many
 // goroutines.
+//
+// Lookups take no lock. The buckets are an immutable snapshot read
+// through an atomic pointer; an insert, once per callsite per process,
+// copies the map under a mutex and publishes the copy, so a reader
+// sees either the old snapshot or the new one, never a map being
+// written.
 type stackEntry struct {
 	skip int
 	pcs  []uintptr
 	st   Stack
 }
 
-var stackCache = struct {
-	sync.RWMutex
-	buckets map[uint64][]*stackEntry
-}{buckets: make(map[uint64][]*stackEntry, 64)}
+type stackBuckets map[uint64][]*stackEntry
+
+var stackCache struct {
+	mu       sync.Mutex // serializes inserts
+	snapshot atomic.Pointer[stackBuckets]
+}
+
+// lookup returns the interned Stack of (skip, pcs) in m, if present.
+func (m stackBuckets) lookup(h uint64, skip int, pcs []uintptr) (Stack, bool) {
+	for _, e := range m[h] {
+		if e.skip == skip && pcsEqual(e.pcs, pcs) {
+			return e.st, true
+		}
+	}
+	return Stack{}, false
+}
 
 // CaptureStackInterned records the current goroutine's call-path,
 // innermost application frame first, and returns it interned: the
@@ -95,15 +115,11 @@ func CaptureStackInterned(skip int) Stack {
 // inserting on first sight.
 func internPCs(skip int, pcs []uintptr) Stack {
 	h := hashPCs(skip, pcs)
-	stackCache.RLock()
-	for _, e := range stackCache.buckets[h] {
-		if e.skip == skip && pcsEqual(e.pcs, pcs) {
-			st := e.st
-			stackCache.RUnlock()
+	if m := stackCache.snapshot.Load(); m != nil {
+		if st, ok := m.lookup(h, skip, pcs); ok {
 			return st
 		}
 	}
-	stackCache.RUnlock()
 
 	// Decode outside the lock: symbolization is the expensive part, it
 	// is a pure function of the PCs, and racing decoders of the same
@@ -114,20 +130,21 @@ func internPCs(skip int, pcs []uintptr) Stack {
 	st := Stack{Frames: decodeFrames(key, skip)}
 	st.Key = joinFrames(st.Frames)
 
-	stackCache.Lock()
-	for _, e := range stackCache.buckets[h] {
-		if e.skip == skip && pcsEqual(e.pcs, pcs) {
-			st = e.st
-			stackCache.Unlock()
-			return st
+	stackCache.mu.Lock()
+	defer stackCache.mu.Unlock()
+	var old stackBuckets
+	if m := stackCache.snapshot.Load(); m != nil {
+		if won, ok := m.lookup(h, skip, pcs); ok {
+			return won
 		}
+		old = *m
 	}
-	stackCache.buckets[h] = append(stackCache.buckets[h], &stackEntry{
-		skip: skip,
-		pcs:  key,
-		st:   st,
-	})
-	stackCache.Unlock()
+	next := make(stackBuckets, len(old)+1)
+	maps.Copy(next, old)
+	// The bucket is copied too: published slices are never appended to
+	// in place.
+	next[h] = append(old[h][:len(old[h]):len(old[h])], &stackEntry{skip: skip, pcs: key, st: st})
+	stackCache.snapshot.Store(&next)
 	return st
 }
 

@@ -58,6 +58,112 @@ func TestCaptureStackInternedConcurrent(t *testing.T) {
 	}
 }
 
+// TestCaptureStackConcurrentInsertAndLookup has reader goroutines
+// re-capture callsites they have already interned, taking no lock,
+// while writer goroutines capture new ones (recursion depths × skips)
+// in different orders, so inserts publish new cache snapshots under
+// the readers. Every capture must equal the runtime.Callers decode,
+// and every goroutine must get the one interned Stack of a callsite,
+// whichever decode won its insert.
+func TestCaptureStackConcurrentInsertAndLookup(t *testing.T) {
+	const readers, writers, skips = 4, 4, 3
+	const readSites, writeSites = 8 * skips, 24 * skips
+	capture := func(i int) (got, want Stack) { return recurse(2+i/skips, i%skips) }
+	// Start from an empty cache, so that every invocation under -count
+	// or a -cpu list inserts its sites while the readers look up.
+	stackCache.mu.Lock()
+	stackCache.snapshot.Store(nil)
+	stackCache.mu.Unlock()
+	read := make([][readSites]Stack, readers)
+	wrote := make([][writeSites]Stack, writers)
+	errs := make(chan string, readers+writers)
+	done := make(chan struct{})
+	var warmed, readersWG, writersWG sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		warmed.Add(1)
+		readersWG.Add(1)
+		// Closures without arguments: `go f(g)` would start the
+		// goroutine in a compiler wrapper frame.
+		go func() {
+			defer readersWG.Done()
+			warming := true
+			defer func() {
+				if warming {
+					warmed.Done()
+				}
+			}()
+			// One capture call site serves every round, so later
+			// rounds hit the entries the first one interned.
+			for round := 0; ; round++ {
+				for i := range read[g] {
+					st, want := capture(i)
+					if round == 0 {
+						if st.Key != want.Key || !slices.Equal(st.Frames, want.Frames) || len(st.Frames) == 0 {
+							errs <- fmt.Sprintf("reader %d site %d: captured %q, runtime.Callers %q", g, i, st.Key, want.Key)
+							return
+						}
+						read[g][i] = st
+					} else if len(st.Frames) == 0 || &st.Frames[0] != &read[g][i].Frames[0] {
+						errs <- fmt.Sprintf("reader %d: site %d re-captured as a new %q, not its interned Stack", g, i, st.Key)
+						return
+					}
+				}
+				if warming {
+					warming = false
+					warmed.Done()
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	warmed.Wait()
+	for g := 0; g < writers; g++ {
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			for j := 0; j < writeSites; j++ {
+				// Each writer starts at its own site; odd ones walk
+				// the sites backwards.
+				i := (j + g*writeSites/writers) % writeSites
+				if g%2 == 1 {
+					i = writeSites - 1 - i
+				}
+				st, want := capture(readSites + i)
+				if st.Key != want.Key || !slices.Equal(st.Frames, want.Frames) || len(st.Frames) == 0 {
+					errs <- fmt.Sprintf("writer %d site %d: captured %q, runtime.Callers %q", g, i, st.Key, want.Key)
+					return
+				}
+				wrote[g][i] = st
+			}
+		}()
+	}
+	writersWG.Wait()
+	close(done)
+	readersWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := range read[0] {
+		for g := 1; g < readers; g++ {
+			if &read[g][i].Frames[0] != &read[0][i].Frames[0] {
+				t.Fatalf("read site %d: reader %d got a distinct frame slice from reader 0", i, g)
+			}
+		}
+	}
+	for i := range wrote[0] {
+		for g := 1; g < writers; g++ {
+			if &wrote[g][i].Frames[0] != &wrote[0][i].Frames[0] {
+				t.Fatalf("write site %d: writer %d got a distinct frame slice from writer 0", i, g)
+			}
+		}
+	}
+}
+
 // callersReference decodes a runtime.Callers capture the way every
 // capture was decoded before the frame-pointer walk: skip+2 drops
 // runtime.Callers and this function, the buffer holds scanDepth
