@@ -39,8 +39,8 @@ func TestCmdBenchWritesReportAndGates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("written BENCH.json is invalid: %v", err)
 	}
-	if len(report.Scenarios) != 17 {
-		t.Fatalf("quick report has %d scenarios, want 17", len(report.Scenarios))
+	if len(report.Scenarios) != 18 {
+		t.Fatalf("quick report has %d scenarios, want 18", len(report.Scenarios))
 	}
 	for _, res := range report.Scenarios {
 		if res.MedianNs <= 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"github.com/anacin-go/anacinx/internal/analysis"
 	"github.com/anacin-go/anacinx/internal/graph"
@@ -25,12 +26,15 @@ import (
 // kernel, into the kernel's push stream (kernel.WLStream), so no full
 // *trace.Trace or *graph.Graph exists and the archive is never decoded
 // to embed it: the run's peak memory is the encoder's column buffers
-// plus the kernel's refinement window. The order hash is then one
-// Reader.OrderHash pass over the closed file. Under a kernel that
-// cannot stream, an archived run tees into an in-memory *trace.Trace
-// instead and reduces it as an unarchived run does. Either way the
-// embeddings, order hashes, and every distance derived from them are
-// byte-identical to the RunSet of ExecuteContext (pinned by tests).
+// plus the kernel's refinement window. The writer, which holds a
+// rank's columns until the rank reaches one segment's worth of events,
+// folds the order hash from them at Close; only a run with a rank that
+// long reads the closed file back (Reader.OrderHash) for it. Under a
+// kernel that cannot stream, an archived run tees into an in-memory
+// *trace.Trace instead and reduces it as an unarchived run does.
+// Either way the embeddings, order hashes, and every distance derived
+// from them are byte-identical to the RunSet of ExecuteContext (pinned
+// by tests).
 
 // EmbeddedRunSet holds the reduced runs of one experiment: embeddings
 // instead of graphs, order hashes instead of traces.
@@ -92,7 +96,7 @@ func (e Experiment) StartEmbedded(ctx context.Context, k kernel.Kernel, archiveD
 		path := filepath.Join(archiveDir, fmt.Sprintf("run-%d.anctr", i))
 		if sk, ok := k.(kernel.StreamingKernel); ok {
 			ws := sk.NewStream(e.Procs)
-			stats, err := e.streamRun(ctx, i, pat, program, path, ws)
+			stats, oh, held, err := e.streamRun(ctx, i, pat, program, path, ws)
 			if err != nil {
 				return err
 			}
@@ -100,14 +104,15 @@ func (e Experiment) StartEmbedded(ctx context.Context, k kernel.Kernel, archiveD
 			if err != nil {
 				return err
 			}
-			oh, err := orderHashFile(path)
-			if err != nil {
-				return err
+			if !held {
+				if oh, err = orderHashFile(path); err != nil {
+					return err
+				}
 			}
 			ers.Features[i], ers.OrderHashes[i], ers.Stats[i] = fv, oh, stats
 		} else {
 			tr := trace.NewWithCapacity(e.meta(i), e.config(i, pat).EventsPerRankHint)
-			stats, err := e.streamRun(ctx, i, pat, program, path, tr)
+			stats, _, _, err := e.streamRun(ctx, i, pat, program, path, tr)
 			if err != nil {
 				return err
 			}
@@ -127,11 +132,13 @@ func (e Experiment) StartEmbedded(ctx context.Context, k kernel.Kernel, archiveD
 // file at path and, when tee is non-nil, into tee as well (in the same
 // scheduler order). It compresses inline on the goroutine that runs
 // it, so whatever schedules the runs is the one level of parallelism
-// and a failed run leaves no codec goroutine behind.
-func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string, tee trace.EventSink) (*sim.Stats, error) {
+// and a failed run leaves no codec goroutine behind. It returns the
+// writer's order hash (StreamWriter.OrderHash) when held reports true;
+// otherwise some rank flushed a segment and the hash is the file's.
+func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern, program sim.Program, path string, tee trace.EventSink) (stats *sim.Stats, oh uint64, held bool, err error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	// The archived file decodes to exactly the trace ExecuteContext
 	// would have materialized, since both carry e.meta(i). (The bytes
@@ -146,7 +153,7 @@ func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern,
 	if tee != nil {
 		cfg.Sink = teeSink{sw, tee}
 	}
-	_, stats, err := sim.RunContext(ctx, cfg, meta, program)
+	_, stats, err = sim.RunContext(ctx, cfg, meta, program)
 	if err == nil {
 		if err = sw.Close(); err != nil {
 			err = fmt.Errorf("encode %s: %w", path, err)
@@ -158,9 +165,10 @@ func (e *Experiment) streamRun(ctx context.Context, i int, pat patterns.Pattern,
 	if err != nil {
 		// A partial file must not stay in the content-addressed archive.
 		os.Remove(path)
-		return nil, err
+		return nil, 0, false, err
 	}
-	return stats, nil
+	oh, held = sw.OrderHash()
+	return stats, oh, held, nil
 }
 
 // teeSink hands every event to both sinks, in order.
@@ -171,8 +179,14 @@ func (t teeSink) Append(ev trace.Event) {
 	t[1].Append(ev)
 }
 
-// orderHashFile returns the order hash of the archived trace at path.
+// orderHashFileReads counts orderHashFile calls, so tests can pin
+// which archived runs read their file back.
+var orderHashFileReads atomic.Int64
+
+// orderHashFile returns the order hash of the archived trace at path:
+// the fallback for a run whose writer flushed a segment before Close.
 func orderHashFile(path string) (uint64, error) {
+	orderHashFileReads.Add(1)
 	r, err := trace.OpenReader(path)
 	if err != nil {
 		return 0, err

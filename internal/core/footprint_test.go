@@ -34,7 +34,7 @@ func streamFootprint(t *testing.T, iterations int) (events, maxWindow, maxSegmen
 	}
 	path := filepath.Join(t.TempDir(), "run.anctr")
 	ws := kernel.NewWL(2).NewStream(e.Procs)
-	if _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path, ws); err != nil {
+	if _, _, _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path, ws); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ws.Finish(); err != nil {
@@ -99,7 +99,7 @@ func windowStats(t *testing.T, pattern string, iterations int) (kernel.FeatureVe
 	}
 	ws := kernel.NewWL(2).NewStream(e.Procs)
 	path := filepath.Join(t.TempDir(), "run.anctr")
-	if _, err := e.streamRun(context.Background(), 0, pat, program, path, ws); err != nil {
+	if _, _, _, err := e.streamRun(context.Background(), 0, pat, program, path, ws); err != nil {
 		t.Fatal(err)
 	}
 	fv, err := ws.Finish()

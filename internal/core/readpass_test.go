@@ -38,7 +38,7 @@ func meshArchive(t testing.TB, iterations int) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.anctr")
-	if _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path, nil); err != nil {
+	if _, _, _, err := e.streamRun(context.Background(), 0, pat, sim.Adapt(program), path, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path

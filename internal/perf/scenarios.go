@@ -2,11 +2,14 @@ package perf
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 
 	"github.com/anacin-go/anacinx/internal/analysis"
+	"github.com/anacin-go/anacinx/internal/campaign"
 	"github.com/anacin-go/anacinx/internal/core"
 	"github.com/anacin-go/anacinx/internal/experiments"
 	"github.com/anacin-go/anacinx/internal/graph"
@@ -41,6 +44,9 @@ import (
 //     8 runs, 32 ranks) — many small Gram builds in parallel.
 //   - figure/fig2: one paper figure end to end (simulate, trace,
 //     graph, embed, check) — what a user-visible unit of work costs.
+//   - campaign-cell/32rank-mesh-archive: one archived mesh campaign
+//     cell — the v2 stream writer, the WL push stream and the order
+//     hash of every run, as an archiving campaign runs them.
 
 // sampleGraphs simulates a run sample and returns its event graphs
 // (setup-time work, excluded from scenario timing).
@@ -403,6 +409,41 @@ func campaignCellScenario() Scenario {
 	}
 }
 
+// campaignMeshArchiveScenario times one archived campaign cell through
+// campaign.RunCellArchive: every run simulates into a v2 archive file,
+// teed into the WL push stream, and takes its order hash from the
+// writer's held columns. Each rep archives into a fresh temporary
+// directory and removes it, so no rep reads or overwrites another's
+// files and nothing is left behind.
+func campaignMeshArchiveScenario() Scenario {
+	return Scenario{
+		Name:        "campaign-cell/32rank-mesh-archive",
+		Description: "one archived 32-rank unstructured-mesh campaign cell (20 runs, 8 iterations, 2 nodes, 50% ND, stacks on) through RunCellArchive: v2 writer, WL push stream, order hashes",
+		Setup: func() (func() error, error) {
+			g := campaign.Grid{
+				Patterns: []string{"unstructured_mesh"}, Procs: []int{32}, Iterations: []int{8},
+				Nodes: []int{2}, NDPercents: []float64{50}, Runs: 20, CaptureStacks: true,
+			}
+			spec := g.CellSpecs()[0]
+			return func() error {
+				dir, err := os.MkdirTemp("", "anacin-bench-archive-")
+				if err != nil {
+					return err
+				}
+				defer os.RemoveAll(dir)
+				c := campaign.RunCellArchive(context.Background(), g, spec, 0, dir, trace.CodecOptions{})
+				if c.Err != nil {
+					return c.Err
+				}
+				if c.DistinctStructures < 1 {
+					return fmt.Errorf("archived cell counted %d distinct structures", c.DistinctStructures)
+				}
+				return nil
+			}, nil
+		},
+	}
+}
+
 // raceTrace simulates one run of the 1024-rank message-race cell
 // (stacks on, so the callstack table/dictionary codecs are exercised)
 // — the shared input of the trace-codec scenarios.
@@ -610,6 +651,7 @@ func AllScenarios() []Scenario {
 		// per-event ratio either way.
 		raceSimScenario(),
 		campaignCellScenario(),
+		campaignMeshArchiveScenario(),
 		traceToGraphScenario(32, simScenarioIterations),
 		traceEncodeScenario(1),
 		traceEncodeScenario(2),
@@ -635,8 +677,10 @@ func AllScenarios() []Scenario {
 
 // quickNames is the reduced set CI runs on every push: the innermost
 // kernel, the isolated dot-product stage, the serial Gram build, one
-// end-to-end figure, and the 1024-rank tier of the large-P
-// family (the 4096-rank tier stays full-set-only for CI wall-clock).
+// end-to-end figure, both campaign cells (the archived one is the only
+// scenario on the v2 stream writer's archiving path), and the 1024-rank
+// tier of the large-P family (the 4096-rank tier stays full-set-only
+// for CI wall-clock).
 // Large-P scenarios participate in the same regression gate as the
 // core set: >25% min-wall-clock slowdowns (the CI statistic) and
 // allocs/op growth both fail.
@@ -645,7 +689,7 @@ var quickNames = []string{
 	"wl-features/h2/r32", "dot/wl-h2", "gram/w1", "figure/fig2",
 	"verify/elaborate-32rank",
 	"sim/1024rank-stencil", "sim/1024rank-collectives", "sim/1024rank-masterworker",
-	"sim/1024rank-race", "campaign-cell/1024rank-race",
+	"sim/1024rank-race", "campaign-cell/1024rank-race", "campaign-cell/32rank-mesh-archive",
 	"trace-encode/1024rank-v1", "trace-encode/1024rank-v2",
 	"trace-decode+graph/1024rank-v1", "trace-decode+graph/1024rank-v2",
 }

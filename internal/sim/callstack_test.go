@@ -96,4 +96,40 @@ func TestCallstacksMatchRuntimeCallers(t *testing.T) {
 			t.Errorf("%s: no event carried a callstack", pat.Name())
 		}
 	}
+
+	// A rank whose calls run on a goroutine started with arguments
+	// records them under the go statement's compiler-made wrapper
+	// frame, which runtime.Callers elides.
+	const procs = 4
+	cfg := sim.DefaultConfig(procs, 3)
+	cfg.CaptureStacks = true
+	sink := &callersSink{t: t, pattern: "go statement"}
+	cfg.Sink = sink
+	program := func(r *sim.Rank) {
+		done := make(chan struct{})
+		go fanInOnGoroutine(r, 2, done)
+		<-done
+	}
+	if _, _, err := sim.Run(cfg, trace.Meta{Pattern: "go statement", Procs: procs}, program); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * 2 * (procs - 1); sink.stacks != want {
+		t.Errorf("go statement: %d events carried a callstack, want %d", sink.stacks, want)
+	}
+}
+
+// fanInOnGoroutine sends rounds messages from every rank but 0 to rank
+// 0, which receives them from any source, then closes done. It runs
+// on a goroutine of its own while the rank's goroutine waits on done.
+func fanInOnGoroutine(r *sim.Rank, rounds int, done chan<- struct{}) {
+	defer close(done)
+	for i := 0; i < rounds; i++ {
+		if r.Rank() != 0 {
+			r.Send(0, i, nil)
+			continue
+		}
+		for n := 1; n < r.Size(); n++ {
+			r.Recv(sim.AnySource, i)
+		}
+	}
 }

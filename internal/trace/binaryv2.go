@@ -7,7 +7,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -284,6 +285,16 @@ func (s *fileSink) writeString(str string) {
 // compression context, so a writer starts no goroutines; callers that
 // want parallelism run one writer per run.
 //
+// A writer's working memory comes from a package pool
+// (writerScratchPool) and goes back to it at Close, so a campaign that
+// writes thousands of archives of one shape allocates it once, not per
+// run. A writer that is never closed keeps its scratch.
+//
+// A writer is usually its archive's last reader: until a rank reaches
+// v2SegmentEvents events, its columns are still held at Close, and
+// Close folds the trace's order hash from them (OrderHash) before it
+// drains them to the file.
+//
 // StreamWriter implements EventSink.
 type StreamWriter struct {
 	sink   fileSink
@@ -291,9 +302,6 @@ type StreamWriter struct {
 	closed bool
 
 	meta  Meta
-	ranks []rankEncoder
-	dict  map[string]int
-	keys  []string // dictionary keys in index (first-seen) order
 	total int
 
 	// lastKey/lastIdx memoize the previous Append's dictionary hit:
@@ -304,11 +312,88 @@ type StreamWriter struct {
 	lastIdx int
 
 	level int
+	comp  *compressor // DEFLATE context, taken at the first block
 
-	payload []byte      // raw segment/footer payload being assembled
-	header  []byte      // block header being assembled
-	refs    []segRef    // footer refs scratch
-	comp    *compressor // DEFLATE context, taken at the first block
+	// orderHash is the held-column order hash, valid when hashHeld.
+	orderHash uint64
+	hashHeld  bool
+
+	// The scratch is nil once Close has returned it to the pool.
+	*writerScratch
+}
+
+// writerScratch is a writer's per-run working memory apart from its
+// column blocks (colBlockPool): the rank encoders, the buffered file
+// writer, the callstack dictionary and the block assembly buffers.
+type writerScratch struct {
+	ranks   []rankEncoder
+	bw      *bufio.Writer
+	dict    map[string]int
+	keys    []string // dictionary keys in index (first-seen) order
+	payload []byte   // raw segment/footer payload being assembled
+	header  []byte   // block header being assembled
+	refs    []segRef // footer refs scratch
+	perm    []int    // Close's dictionary sort permutation and its inverse
+}
+
+// writerScratchPool recycles the scratch of closed writers.
+var writerScratchPool sync.Pool
+
+// Writer scratch pool bounds: scratch that outgrew them is left to the
+// garbage collector rather than pinned in the pool. A pooled scratch
+// holds at most 4096 rank encoders (about 1.1 MiB), 4096 dictionary
+// keys, a 1 MiB assembly buffer and 64 segment entries per rank. The
+// largest writers the benchmarks run, 1024 ranks with a few dozen
+// callstacks and a few dozen segments on the hottest rank, sit inside
+// them.
+const (
+	maxPooledRanks     = 1 << 12
+	maxPooledKeys      = 1 << 12
+	maxPooledWriterBuf = 1 << 20
+	maxPooledRankSegs  = 64
+)
+
+// getWriterScratch takes a scratch from the pool, or makes one, with
+// procs fresh rank encoders.
+func getWriterScratch(procs int) *writerScratch {
+	sc, _ := writerScratchPool.Get().(*writerScratch)
+	if sc == nil {
+		sc = &writerScratch{bw: bufio.NewWriter(nil), dict: make(map[string]int)}
+	}
+	sc.reset(procs)
+	return sc
+}
+
+// reset gives sc procs rank encoders in their initial state: no
+// counts, no columns, maxSendID -1 and no segments (each keeps its
+// segment slice's capacity).
+func (sc *writerScratch) reset(procs int) {
+	sc.ranks = slices.Grow(sc.ranks[:0], procs)[:procs]
+	for i := range sc.ranks {
+		re := &sc.ranks[i]
+		*re = rankEncoder{maxSendID: -1, segs: re.segs[:0]}
+	}
+}
+
+// putWriterScratch returns sc to the pool unless it outgrew the pool
+// bounds, reporting whether it was pooled. Every rank encoder must have
+// released its column block.
+func putWriterScratch(sc *writerScratch) bool {
+	if cap(sc.ranks) > maxPooledRanks || len(sc.keys) > maxPooledKeys ||
+		cap(sc.payload) > maxPooledWriterBuf || cap(sc.header) > maxPooledWriterBuf {
+		return false
+	}
+	for r := range sc.ranks {
+		if re := &sc.ranks[r]; cap(re.segs) > maxPooledRankSegs {
+			re.segs = nil
+		}
+	}
+	sc.bw.Reset(nil)
+	clear(sc.dict)
+	clear(sc.keys)
+	sc.keys = sc.keys[:0]
+	writerScratchPool.Put(sc)
+	return true
 }
 
 // NewStreamWriter starts a v2 binary trace for meta on w with default
@@ -321,26 +406,24 @@ func NewStreamWriter(w io.Writer, meta Meta) *StreamWriter {
 // NewStreamWriterOptions is NewStreamWriter with explicit codec
 // options. The compression level changes the archived bytes.
 func NewStreamWriterOptions(w io.Writer, meta Meta, opts CodecOptions) *StreamWriter {
+	sc := getWriterScratch(max(meta.Procs, 0))
+	sc.bw.Reset(w)
 	sw := &StreamWriter{
-		sink:    fileSink{bw: bufio.NewWriter(w)},
-		meta:    meta,
-		dict:    make(map[string]int),
-		lastIdx: -1,
+		sink:          fileSink{bw: sc.bw},
+		meta:          meta,
+		lastIdx:       -1,
+		writerScratch: sc,
 	}
 	if meta.Procs < 0 {
 		sw.err = fmt.Errorf("trace: negative proc count %d", meta.Procs)
 		return sw
 	}
-	sw.ranks = make([]rankEncoder, meta.Procs)
 	level, err := opts.level()
 	if err != nil {
 		sw.err = err
 		return sw
 	}
 	sw.level = level
-	for i := range sw.ranks {
-		sw.ranks[i].maxSendID = -1
-	}
 	sw.sink.write(binaryMagicV2[:])
 	sw.sink.writeString(meta.Pattern)
 	sw.sink.writeVarint(int64(meta.Procs))
@@ -573,14 +656,18 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
-// Close flushes the pending segments and writes the dictionary, footer, and trailer. It returns the first
-// error the writer encountered. Close is idempotent; Append after
-// Close is an error.
+// Close flushes the pending segments and writes the dictionary,
+// footer, and trailer, then returns the writer's scratch to the pool.
+// It returns the first error the writer encountered. Close is
+// idempotent; Append after Close is an error.
 func (sw *StreamWriter) Close() error {
 	if sw.closed {
 		return sw.err
 	}
 	sw.closed = true
+	if sw.err == nil {
+		sw.orderHash, sw.hashHeld = sw.heldOrderHash()
+	}
 	// Drain rank tails into multi-rank blocks of bounded size: one
 	// block for a small trace, ~v2DrainBlockEvents-event blocks for a
 	// wide one (a tail larger than the budget flushes alone).
@@ -601,24 +688,29 @@ func (sw *StreamWriter) Close() error {
 
 	// Dictionary: keys sorted for front-coding, then the permutation
 	// from first-seen index (what segments reference) to sorted slot.
-	sorted := append([]string(nil), sw.keys...)
-	sort.Strings(sorted)
-	pos := make(map[string]int, len(sorted))
-	for i, k := range sorted {
-		pos[k] = i
+	n := len(sw.keys)
+	sw.perm = slices.Grow(sw.perm[:0], 2*n)[:2*n]
+	sorted, slot := sw.perm[:n], sw.perm[n:]
+	for i := range sorted {
+		sorted[i] = i
+	}
+	slices.SortFunc(sorted, func(a, b int) int { return strings.Compare(sw.keys[a], sw.keys[b]) })
+	for s, i := range sorted {
+		slot[i] = s
 	}
 	payload := sw.payload[:0]
-	payload = binary.AppendUvarint(payload, uint64(len(sorted)))
+	payload = binary.AppendUvarint(payload, uint64(n))
 	prev := ""
-	for _, k := range sorted {
+	for _, i := range sorted {
+		k := sw.keys[i]
 		p := commonPrefixLen(prev, k)
 		payload = binary.AppendUvarint(payload, uint64(p))
 		payload = binary.AppendUvarint(payload, uint64(len(k)-p))
 		payload = append(payload, k[p:]...)
 		prev = k
 	}
-	for _, k := range sw.keys {
-		payload = binary.AppendUvarint(payload, uint64(pos[k]))
+	for _, s := range slot {
+		payload = binary.AppendUvarint(payload, uint64(s))
 	}
 
 	// Rank index.
@@ -650,8 +742,40 @@ func (sw *StreamWriter) Close() error {
 	}
 	putCompressor(sw.comp)
 	sw.comp = nil
-	sw.payload, sw.header = nil, nil
+	putWriterScratch(sw.writerScratch)
+	sw.writerScratch, sw.sink.bw = nil, nil
 	return sw.err
+}
+
+// heldOrderHash folds the order hash of the written trace, as orderHash
+// defines it, from the columns the writer still holds. It reports false
+// when some rank has flushed a segment, whose events are no longer
+// held.
+func (sw *StreamWriter) heldOrderHash() (uint64, bool) {
+	h := uint64(fnvOffset64)
+	for r := range sw.ranks {
+		re := &sw.ranks[r]
+		if len(re.segs) > 0 {
+			return 0, false
+		}
+		h = fnv64aInt(h, int64(re.events))
+		for i, k := range re.kinds {
+			h = orderFold(h, int64(k), re.peers[i], re.tags[i], re.chanSeqs[i])
+		}
+	}
+	return h, true
+}
+
+// OrderHash returns the written trace's order hash (Trace.OrderHash of
+// the trace the file decodes to) when Close succeeded and could fold it
+// from the held columns: no rank reached v2SegmentEvents events. It
+// reports false otherwise, before Close included; the hash must then be
+// read back from the file (Reader.OrderHash).
+func (sw *StreamWriter) OrderHash() (uint64, bool) {
+	if !sw.hashHeld || sw.Err() != nil {
+		return 0, false
+	}
+	return sw.orderHash, true
 }
 
 // Err returns the writer's sticky usage, compression or I/O error

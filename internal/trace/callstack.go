@@ -153,14 +153,15 @@ func internPCs(skip int, pcs []uintptr) Stack {
 // logical ones (the runtime.Callers fallback); runtime.CallersFrames
 // expands the inlined calls of either, so skip drops logical frames
 // and keeps its meaning whatever the compiler inlined. Wrapper frames
-// (method-value and method wrappers, file "<autogenerated>") are
-// elided and not counted, as runtime.Callers elides them.
+// (method-value and method wrappers, file "<autogenerated>", and
+// go-statement wrappers) are elided and not counted, as
+// runtime.Callers elides them.
 func decodeFrames(pcs []uintptr, skip int) []string {
 	frames := runtime.CallersFrames(pcs)
 	var stack []string
 	for seen := 0; seen < skip+scanDepth; {
 		frame, more := frames.Next()
-		if frame.File != "<autogenerated>" {
+		if frame.File != "<autogenerated>" && !goWrapper(frame.Function) {
 			name := frame.Function
 			if seen >= skip && name != "" && !trimmedFrame(name) {
 				stack = append(stack, shortFuncName(name))
@@ -175,6 +176,23 @@ func decodeFrames(pcs []uintptr, skip int) []string {
 		}
 	}
 	return stack
+}
+
+// goWrapper reports whether name is a compiler-made go-statement
+// wrapper, "pkg.caller.gowrapN": a goroutine started as go f(args)
+// runs f under it, and it binds the arguments. Its file is the
+// caller's, not "<autogenerated>", so it is known by its name.
+func goWrapper(name string) bool {
+	n, ok := strings.CutPrefix(name[strings.LastIndexByte(name, '.')+1:], "gowrap")
+	if !ok || n == "" {
+		return false
+	}
+	for _, c := range n {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // joinFrames builds the ";"-joined callstack key, or "" for an empty

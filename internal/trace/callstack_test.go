@@ -366,3 +366,24 @@ func TestCaptureStackElidesWrappers(t *testing.T) {
 		}
 	}
 }
+
+//go:noinline
+func captureOnto(skip int, ch chan<- [2]Stack) {
+	got, want := captureBoth(skip)
+	ch <- [2]Stack{got, want}
+}
+
+// A goroutine started as go f(args) runs f under a compiler-made
+// wrapper (pkg.caller.gowrapN) that binds the arguments; like
+// runtime.Callers, the capture leaves it out.
+func TestCaptureStackElidesGoWrappers(t *testing.T) {
+	ch := make(chan [2]Stack)
+	for skip := 0; skip <= 1; skip++ {
+		go captureOnto(skip, ch)
+		r := <-ch
+		checkAgainstCallers(t, fmt.Sprintf("go statement with arguments, skip %d", skip), r[0], r[1])
+		if strings.Contains(r[0].Key, "gowrap") {
+			t.Errorf("skip %d: go-statement wrapper frame in %q", skip, r[0].Key)
+		}
+	}
+}

@@ -126,16 +126,23 @@ func orderHash(src Source) (uint64, error) {
 		h = fnv64aInt(h, int64(events))
 		c := src.Cursor(rank)
 		for c.Next(&ev) {
-			h = fnv64aInt(h, int64(ev.Kind))
-			h = fnv64aInt(h, int64(ev.Peer))
-			h = fnv64aInt(h, int64(ev.Tag))
-			h = fnv64aInt(h, int64(ev.ChanSeq))
+			h = orderFold(h, int64(ev.Kind), int64(ev.Peer), int64(ev.Tag), int64(ev.ChanSeq))
 		}
 		if err := c.Err(); err != nil {
 			return 0, err
 		}
 	}
 	return h, nil
+}
+
+// orderFold folds one event's share of the order hash into h: its
+// kind, peer, tag and channel sequence. orderHash and the StreamWriter's
+// held-column hash both fold through it, so the hash is defined once.
+func orderFold(h uint64, kind, peer, tag, chanSeq int64) uint64 {
+	h = fnv64aInt(h, kind)
+	h = fnv64aInt(h, peer)
+	h = fnv64aInt(h, tag)
+	return fnv64aInt(h, chanSeq)
 }
 
 // FNV-1a's 64-bit offset basis and prime (hash/fnv).
